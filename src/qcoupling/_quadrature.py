@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import math
 
-from scipy.integrate import quad
-
 from .errors import NumericsError
 
 _QUAD_OPTS = dict(limit=800, epsabs=1e-11, epsrel=1e-10)
@@ -19,6 +17,9 @@ _QUAD_OPTS = dict(limit=800, epsabs=1e-11, epsrel=1e-10)
 
 def real_quad(fn, lo, hi, **kw):
     """quad with shared defaults; returns (value, abserr)."""
+    # imported here so that routes that never integrate do not load scipy
+    from scipy.integrate import quad
+
     opts = {**_QUAD_OPTS, **kw}
     val, err = quad(fn, lo, hi, **opts)
     return val, err

@@ -110,7 +110,10 @@ def exp_q(q, x):
         return _exp_q_array(q, x)
     x = _finite(x, "x")
     if abs(q) <= COUPLING_EPS:
-        return math.exp(x * (1.0 - 0.5 * q * x))
+        try:
+            return math.exp(x * (1.0 - 0.5 * q * x))
+        except OverflowError:
+            return math.inf
     if 1.0 + q * x > 0.0:
         # log1p keeps the exponent accurate even when 1/q is enormous
         try:
@@ -127,7 +130,8 @@ def _exp_q_array(q: float, x) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise DomainError("x must be finite")
     if abs(q) <= COUPLING_EPS:
-        return np.exp(x * (1.0 - 0.5 * q * x))
+        with np.errstate(over="ignore"):
+            return np.exp(x * (1.0 - 0.5 * q * x))
     qx = q * x
     out = np.empty_like(qx)
     pos = qx > -1.0

@@ -20,10 +20,9 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammaln
 
 from ._quadrature import line_quad, real_quad
-from .errors import DomainError, InsufficientDataError
+from .errors import DomainError, InsufficientDataError, NumericsError
 from .qcore import COUPLING_EPS, coupling_value, exp_q
 from .qseq import conj_hat
 
@@ -38,14 +37,14 @@ _MAX_SUMMED_NORMALS = 32
 
 
 def _gammaln_halfdiff(a):
-    """gammaln(a) - gammaln(a + 0.5) without cancellation.
+    """lgamma(a) - lgamma(a + 0.5) for a > 0, without cancellation.
 
-    The direct difference of two gammaln values loses ~eps*gammaln(a)
+    The direct difference of two lgamma values loses ~eps*lgamma(a)
     absolute accuracy, which matters when a is large (small |q|); the
     Stirling-series difference keeps the absolute error near eps.
     """
     if a < 25.0:
-        return gammaln(a) - gammaln(a + 0.5)
+        return math.lgamma(a) - math.lgamma(a + 0.5)
     b = a + 0.5
     out = 0.5 - a * math.log1p(0.5 / a) - 0.5 * math.log(a)
     out += (1.0 / a - 1.0 / b) / 12.0
@@ -424,7 +423,15 @@ def sample_qgaussian(dist: QGaussian, n: int, seed=None) -> np.ndarray:
             nu = float(nearest)
         else:
             v = 2.0 * rng.standard_gamma(nu / 2.0, n)
-        return mu + scale * z * np.sqrt(nu / v)
+        # near q = -2 the chi-square draws underflow to 0, so most draws
+        # lie beyond the float range
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            out = mu + scale * z * np.sqrt(nu / v)
+        bad = int(np.count_nonzero(~np.isfinite(out)))
+        if bad:
+            raise NumericsError(
+                f"{bad} of {n} draws at coupling {q} exceed the float range")
+        return out
 
     # compact support: rejection from the uniform envelope
     beta = dist.beta

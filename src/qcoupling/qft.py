@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from ._quadrature import complex_quad, line_quad
 from .errors import DomainError, PoleError, UnsupportedInputError
@@ -104,7 +103,9 @@ class UniformShape:
 class TransformResult:
     """Transform values on a caller-supplied frequency grid.
 
-    est_abs_error is the largest per-frequency error estimate.  q_out is
+    est_abs_error is the largest per-frequency error estimate.  It is
+    absolute, not relative: where the transform is tiny (far out in
+    frequency) it can exceed the value itself.  q_out is
     the output coupling when the input is a recognized family at its own
     coupling (Gaussian-type or uniform), else None; subnormalizable
     flags q_out <= -2 (the output shape is no longer normalizable).
@@ -225,6 +226,8 @@ def _classical_numeric(shape, ws: np.ndarray):
             rv, e = line_quad(value, core, tail_power=tail_power)
             v = complex(rv)
         else:
+            from scipy.integrate import quad
+
             rv, e = quad(
                 value, 0.0, np.inf, weight="cos", wvar=abs(w),
                 epsabs=1e-11, limit=800, limlst=400,
@@ -260,6 +263,11 @@ def _grid_numeric(grid: DensityGrid, q: float, ws: np.ndarray):
     f = grid.f
     if not np.all(np.isfinite(f)) or np.any(f < 0.0):
         raise DomainError("grid density must be finite and nonnegative")
+    if f.size < 3:
+        raise DomainError("the grid transform needs at least 3 samples")
+    # the half-step rule needs an odd count to end on the same sample, so
+    # the estimate compares both rules on the longest odd-length prefix
+    m = f.size if f.size % 2 else f.size - 1
     xs = grid.xs
     pos = f > 0.0
     fq = np.zeros_like(f)
@@ -270,9 +278,10 @@ def _grid_numeric(grid: DensityGrid, q: float, ws: np.ndarray):
         g = np.zeros(f.size, dtype=complex)
         g[pos] = f[pos] * _exp_q_complex_grid(q, w * xs[pos] * fq[pos])
         full = complex(np.trapezoid(g, dx=grid.dx))
-        half = complex(np.trapezoid(g[::2], dx=2.0 * grid.dx))
+        prefix = full if m == f.size else complex(np.trapezoid(g[:m], dx=grid.dx))
+        half = complex(np.trapezoid(g[:m:2], dx=2.0 * grid.dx))
         vals[i] = full
-        errs[i] = abs(full - half) / 3.0 + 1e-15
+        errs[i] = abs(prefix - half) / 3.0 + 1e-15
     return vals, errs
 
 

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import DomainError, InstabilityError, InsufficientDataError
 from .qcore import COUPLING_EPS
@@ -171,7 +170,7 @@ def simulate(cfg):
         k, next_keep = 1, stride
 
     step = 0
-    noise = np.empty((cfg.n_paths, _NOISE_BLOCK, 2))
+    noise = np.empty((cfg.n_paths, min(_NOISE_BLOCK, cfg.steps), 2))
     with np.errstate(over="ignore", invalid="ignore"):
         while step < cfg.steps:
             nb = min(_NOISE_BLOCK, cfg.steps - step)
@@ -284,6 +283,8 @@ def fit_qgaussian(samples, min_n=1000):
             f"need at least {min_n} samples, got {x.size}")
     if not np.all(np.isfinite(x)):
         raise DomainError("samples must be finite")
+
+    from scipy.optimize import minimize
 
     theta0 = _initial_guess(x)
     res = minimize(

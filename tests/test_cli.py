@@ -1,11 +1,14 @@
 import json
 import math
+import os
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+import qcoupling
 from qcoupling import cli, datasets, qdist, qseq
 from qcoupling.datasets import Dataset
 from qcoupling.errors import DomainError
@@ -50,6 +53,21 @@ class TestExitCodes:
                                capsys)
         assert code == 2
         assert "--y" in err
+
+    @pytest.mark.filterwarnings("error")
+    def test_classical_overflow_prints_inf(self, capsys):
+        code, out, _ = run_cli(["eval", "exp_q", "--q", "0", "--x", "1000"],
+                               capsys)
+        assert code == 0
+        assert out.strip() == "inf"
+
+    @pytest.mark.filterwarnings("error")
+    def test_sample_beyond_float_range_is_numerics_error(self, capsys):
+        code, out, err = run_cli(["dist", "sample", "--q", "-1.999", "--n",
+                                  "5", "--seed", "1"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("NumericsError:")
 
     def test_subnormalizable_dist_is_error(self, capsys):
         code, _, err = run_cli(["dist", "cq", "--q", "-2.5"], capsys)
@@ -296,3 +314,61 @@ def test_console_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert float(proc.stdout) == pytest.approx(1.0)
+
+
+# Closed-form and scalar routes: none of these may load scipy.
+_SCIPY_FREE = [
+    ["eval", "exp_q", "--q", "0.5", "--x", "1.2"],
+    ["seq", "hat", "--q", "1"],
+    ["dist", "cq", "--q", "-1"],
+    ["dist", "pdf", "--q", "0.5", "--x", "0.3"],
+    ["dist", "sample", "--q", "-0.5", "--n", "20", "--seed", "7"],
+    ["transform", "gaussian", "--q", "0.5"],
+    ["transform", "gaussian", "--q", "0.5", "--conjugate"],
+    ["figure", "1"],
+    ["figure", "2"],
+    ["figure", "3"],
+    ["figure", "4"],
+]
+# Routes that integrate or minimise, run after the check above.
+_SCIPY_ROUTES = [
+    ["transform", "gaussian", "--q", "-0.5", "--n", "3", "--method",
+     "numeric"],
+    ["simulate", "--seed", "3", "--n-paths", "40", "--steps", "5000",
+     "--fit"],
+]
+
+
+def test_scalar_routes_load_no_scipy():
+    script = textwrap.dedent("""
+        import contextlib, io, json, sys
+        from qcoupling import cli
+
+        def run_all(cases):
+            with contextlib.redirect_stdout(io.StringIO()):
+                return [cli.run(args) for args in cases]
+
+        def scipy_loaded():
+            return sorted(m for m in sys.modules
+                          if m == "scipy" or m.startswith("scipy."))
+
+        free, routes = json.loads(sys.argv[1])
+        report = {"after_import": scipy_loaded(), "free": run_all(free)}
+        report["after_free"] = scipy_loaded()
+        report["routes"] = run_all(routes)
+        print(json.dumps(report))
+    """)
+    src = os.path.dirname(os.path.dirname(qcoupling.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", script,
+         json.dumps([_SCIPY_FREE, _SCIPY_ROUTES])],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["after_import"] == []
+    assert report["free"] == [0] * len(_SCIPY_FREE)
+    assert report["after_free"] == []
+    assert report["routes"] == [0] * len(_SCIPY_ROUTES)

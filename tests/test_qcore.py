@@ -57,6 +57,16 @@ class TestExpQ:
         assert exp_q(-1.0, 1.0) == math.inf
         assert exp_q(-0.5, 3.0) == math.inf
 
+    @pytest.mark.filterwarnings("error")
+    def test_classical_branch_overflow_is_inf(self):
+        # the small-coupling branch saturates like the q != 0 branch
+        for q in (0.0, 1e-11, -1e-11):
+            assert exp_q(q, 1000.0) == math.inf
+        arr = exp_q(0.0, np.array([1000.0, 1.0, -1000.0]))
+        assert arr[0] == math.inf
+        assert arr[1] == pytest.approx(math.e, rel=1e-15)
+        assert arr[2] == 0.0
+
     def test_nan_rejected(self):
         with pytest.raises(DomainError):
             exp_q(0.5, math.nan)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import norm, t as student_t
 
-from qcoupling.errors import DomainError
+from qcoupling.errors import DomainError, NumericsError
 from qcoupling.qcore import exp_q
 from qcoupling.qdist import (
     PRESERVE_BETA,
@@ -76,6 +76,21 @@ class TestNormalizationConstant:
         val = qgaussian_mass(dist)
         assert val == pytest.approx(1.0, abs=1e-8)
         assert got == pytest.approx(c_q(q) / math.sqrt(beta), rel=1e-8)
+
+    def test_matches_high_precision_gamma_ratio(self):
+        mp = pytest.importorskip("mpmath")
+        qs = np.concatenate([np.linspace(-1.999, -0.01, 60),
+                             np.linspace(0.01, 50.0, 60)])
+        with mp.workdps(40):
+            for q in qs:
+                q = float(q)
+                if q > 0.0:
+                    a = 1 / mp.mpf(q) + 1
+                    want = mp.sqrt(mp.pi / q) * mp.gamma(a) / mp.gamma(a + 0.5)
+                else:
+                    r = -1 / mp.mpf(q)
+                    want = mp.sqrt(mp.pi * r) * mp.gamma(r - 0.5) / mp.gamma(r)
+                assert abs(c_q(q) - want) <= 1e-12 * want
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -435,3 +450,9 @@ class TestSampler:
     def test_sample_validation(self):
         with pytest.raises(DomainError):
             sample_qgaussian(QGaussian(0.5), 0, seed=1)
+
+    @pytest.mark.filterwarnings("error")
+    def test_draws_beyond_float_range_raise(self):
+        # near q = -2 the chi-square draws underflow to 0
+        with pytest.raises(NumericsError, match=r"5 of 5 draws at coupling -1\.999"):
+            sample_qgaussian(QGaussian(-1.999), 5, seed=1)

@@ -245,6 +245,22 @@ class TestNumericAlphaAndGrid:
         with pytest.raises(UnsupportedInputError):
             qft_numeric(grid, 0.5, [1.0])
 
+    def test_grid_error_estimate_ignores_parity(self):
+        # both rules of the estimate cover the same interval whether the
+        # sample count is odd or even
+        dist = QGaussian(-0.5, 0.0, 1.0)
+        ests = []
+        for n in (12000, 12001):
+            xs = np.linspace(-60.0, 60.0, n)
+            grid = DensityGrid(xs[0], xs[1] - xs[0], qgaussian_pdf(dist, xs))
+            ests.append(qft_numeric(grid, -0.5, WS).est_abs_error)
+        assert max(ests) <= 10.0 * min(ests)
+
+    def test_grid_needs_three_samples(self):
+        grid = DensityGrid(0.0, 0.1, np.array([0.2, 0.3]))
+        with pytest.raises(DomainError):
+            qft_numeric(grid, -0.5, [1.0])
+
     def test_grid_negative_density_rejected(self):
         with pytest.raises(DomainError):
             DensityGrid(0.0, 0.1, np.array([0.1, -0.2, 0.1]))

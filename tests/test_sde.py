@@ -128,6 +128,27 @@ class TestSimulate:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    @pytest.mark.parametrize("block", [4096, 64])
+    def test_blocked_noise_matches_whole_run_draws(self, monkeypatch, block):
+        # reference: each path draws all of its noise at once, and the
+        # step arithmetic is the same, so the samples are bitwise equal
+        monkeypatch.setattr(sde, "_NOISE_BLOCK", block)
+        cfg = sde.SdeConfig(steps=300, n_paths=5, burn_in=37, seed=11)
+        drift = -(cfg.tau - cfg.M) * cfg.dt
+        mul = math.sqrt(2.0 * cfg.M * cfg.dt)
+        add = math.sqrt(2.0 * cfg.A * cfg.dt)
+        noise = np.stack([
+            np.random.default_rng(s).standard_normal((cfg.steps, 2))
+            for s in np.random.SeedSequence(cfg.seed).spawn(cfg.n_paths)])
+        x = np.zeros(cfg.n_paths)
+        kept = []
+        for j in range(cfg.steps):
+            x = x + drift * x * 1.0 + mul * x * noise[:, j, 0] + add * noise[:, j, 1]
+            if j + 1 >= cfg.burn_in and (j + 1 - cfg.burn_in) % cfg.stride == 0:
+                kept.append(x)
+        want = np.stack(kept, axis=1).ravel()
+        assert np.array_equal(sde.simulate(cfg), want)
+
     def test_output_shape(self, headline_run):
         cfg, xs = headline_run
         assert xs.shape == (cfg.n_paths * cfg.samples_per_path,)
