@@ -10,7 +10,8 @@ Branch conventions used throughout the package:
 
 * |q| <= COUPLING_EPS evaluates the q -> 0 limit through a second-order
   continuation, exp(x*(1 - q*x/2)), so the limit is smooth rather than a
-  hard switch to exp(x).
+  hard switch to exp(x).  The continuation holds only while |q*x| is
+  small; past that the exact form (1 + q*x)^(1/q) is used.
 * A nonpositive base (1 + q*x <= 0) clamps to 0 when q > 0 (compact
   support) and maps to +inf when q < 0 (the divergent end of a heavy
   tail).  These are the only two ways the base can leave (0, inf).
@@ -28,6 +29,13 @@ from .errors import BranchCutError, DomainError, NumericsError, PoleError, Singu
 
 # Couplings below this magnitude are treated as the q -> 0 limit.
 COUPLING_EPS = 1e-10
+
+# The q -> 0 continuation is used while |q*x| stays below this; beyond it
+# the continuation's exponent x*(1 - q*x/2) turns over.
+_SMALL_QX = 1e-3
+
+# exp_q(-beta |x|^alpha) switches to log space past this beta |x|^alpha.
+_LOG_SPACE_ARG = 1e300
 
 # Tolerance for "exactly at a pole" checks on denominators like 1 - n*q.
 _POLE_EPS = 1e-14
@@ -106,10 +114,11 @@ def exp_q(q, x):
         with q < 0, while q > 0 clamps to 0 outside the support.
     """
     q = coupling_value(q)
-    if np.ndim(x) > 0:
+    # a float (np.float64 included) skips np.ndim, which quadrature calls often
+    if not isinstance(x, float) and np.ndim(x) > 0:
         return _exp_q_array(q, x)
     x = _finite(x, "x")
-    if abs(q) <= COUPLING_EPS:
+    if abs(q) <= COUPLING_EPS and abs(q * x) <= _SMALL_QX:
         try:
             return math.exp(x * (1.0 - 0.5 * q * x))
         except OverflowError:
@@ -129,16 +138,60 @@ def _exp_q_array(q: float, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise DomainError("x must be finite")
-    if abs(q) <= COUPLING_EPS:
-        with np.errstate(over="ignore"):
-            return np.exp(x * (1.0 - 0.5 * q * x))
-    qx = q * x
+    if abs(q) > COUPLING_EPS:
+        return _exp_q_exact(q, q * x)
+    with np.errstate(over="ignore"):
+        out = np.exp(x * (1.0 - 0.5 * q * x))
+    if x.size and abs(q) * max(x.max(), -x.min()) > _SMALL_QX:
+        qx = q * x
+        far = np.abs(qx) > _SMALL_QX
+        out[far] = _exp_q_exact(q, qx[far])
+    return out
+
+
+def _exp_q_exact(q: float, qx: np.ndarray) -> np.ndarray:
+    """(1 + qx)_+^(1/q) for q != 0 with exp_q's boundary semantics."""
     out = np.empty_like(qx)
     pos = qx > -1.0
     with np.errstate(over="ignore"):
         out[pos] = np.exp(np.log1p(qx[pos]) / q)
     out[~pos] = 0.0 if q > 0.0 else np.inf
     return out
+
+
+def exp_q_neg_power(q, beta, x, alpha=2.0):
+    """exp_q(-beta |x|^alpha) for beta > 0 at every finite x.
+
+    Where beta |x|^alpha passes 1e300 a heavy tail (q < 0) is the pure
+    power (-q beta |x|^alpha)^(1/q), evaluated in log space so that it
+    stays finite out to the largest float; any other coupling gives 0
+    there.  Scalar or array x.
+    """
+    q = coupling_value(q)
+    if not isinstance(x, float) and np.ndim(x) > 0:
+        x = np.asarray(x, dtype=float)
+        with np.errstate(over="ignore"):
+            arg = beta * (x * x if alpha == 2.0 else np.abs(x) ** alpha)
+        near = arg <= _LOG_SPACE_ARG
+        if near.all():
+            return _exp_q_array(q, -arg)
+        out = np.zeros_like(arg)
+        out[near] = _exp_q_array(q, -arg[near])
+        if q < -COUPLING_EPS:
+            far = arg > _LOG_SPACE_ARG
+            log_arg = math.log(-q * beta) + alpha * np.log(np.abs(x[far]))
+            out[far] = np.exp(log_arg / q)
+        return out
+    ax = abs(float(x))
+    try:
+        arg = beta * (ax * ax if alpha == 2.0 else ax ** alpha)
+    except OverflowError:
+        arg = math.inf
+    if arg <= _LOG_SPACE_ARG:
+        return exp_q(q, -arg)
+    if q < -COUPLING_EPS and arg > _LOG_SPACE_ARG:
+        return math.exp((math.log(-q * beta) + alpha * math.log(ax)) / q)
+    return 0.0
 
 
 def ln_q(q, x):
@@ -258,12 +311,19 @@ def exp_q_complex(q, z) -> complex:
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise DomainError("z must be finite")
-    if abs(q) <= COUPLING_EPS:
-        return cmath.exp(z * (1.0 - 0.5 * q * z))
-    w = 1.0 + q * z
-    if w.imag == 0.0 and w.real <= 0.0:
-        raise BranchCutError("1 + q*z on the nonpositive real axis")
-    return w ** (1.0 / q)
+    try:
+        if abs(q) <= COUPLING_EPS and abs(q * z) <= _SMALL_QX:
+            out = cmath.exp(z * (1.0 - 0.5 * q * z))
+        else:
+            w = 1.0 + q * z
+            if w.imag == 0.0 and w.real <= 0.0:
+                raise BranchCutError("1 + q*z on the nonpositive real axis")
+            out = w ** (1.0 / q)
+    except OverflowError:
+        out = complex(math.nan, math.nan)
+    if not (math.isfinite(out.real) and math.isfinite(out.imag)):
+        raise NumericsError(f"exp_q_complex(q={q}, z={z}) leaves the float range")
+    return out
 
 
 def sin_q(q, x):

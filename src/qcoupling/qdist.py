@@ -21,9 +21,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._quadrature import line_quad, real_quad
+from ._quadrature import line_quad
 from .errors import DomainError, InsufficientDataError, NumericsError
-from .qcore import COUPLING_EPS, coupling_value, exp_q
+from .qcore import COUPLING_EPS, coupling_value, exp_q, exp_q_neg_power
 from .qseq import conj_hat
 
 PRESERVE_VARIANCE = "preserve-variance"
@@ -100,19 +100,8 @@ class QGaussian:
 
 def qgaussian_pdf(dist: QGaussian, x):
     """Density of a QGaussian at x (scalar or array)."""
-    if np.ndim(x) > 0:
-        u = np.asarray(x, dtype=float) - dist.mu
-        with np.errstate(over="ignore"):
-            arg = -dist.beta * u * u
-        out = np.zeros_like(u)
-        ok = np.isfinite(arg)  # beta*u^2 past float range: density is 0
-        out[ok] = dist.amplitude * exp_q(dist.q, arg[ok])
-        return out
-    u = float(x) - dist.mu
-    arg = -dist.beta * u * u
-    if not math.isfinite(arg):
-        return 0.0
-    return dist.amplitude * exp_q(dist.q, arg)
+    u = np.asarray(x, dtype=float) - dist.mu if np.ndim(x) > 0 else float(x) - dist.mu
+    return dist.amplitude * exp_q_neg_power(dist.q, dist.beta, u)
 
 
 def support_bounds(dist: QGaussian) -> tuple[float, float]:
@@ -123,23 +112,25 @@ def support_bounds(dist: QGaussian) -> tuple[float, float]:
     return -math.inf, math.inf
 
 
-def qgaussian_mass(dist: QGaussian) -> float:
-    """Numeric integral of the pdf (should be 1); used as a self-check."""
-    f = lambda x: qgaussian_pdf(dist, x)
-    q, beta = dist.q, dist.beta
+def integration_plan(q: float, beta: float, alpha: float = 2.0):
+    """Layout (core halfwidth, tail_power, points) of line_quad for
+    exp_q(-beta |x|^alpha) centred at 0; a compact support is the core."""
     if q > COUPLING_EPS:
-        lo, hi = support_bounds(dist)
-        val, _ = real_quad(f, lo, hi, points=[dist.mu])
-        return val
-    shifted = lambda u: f(u + dist.mu)
+        return (1.0 / (q * beta)) ** (1.0 / alpha), None, [0.0]
+    edge = (45.0 / beta) ** (1.0 / alpha)
     if abs(q) <= COUPLING_EPS:
-        val, _ = line_quad(shifted, math.sqrt(45.0 / beta))
-        return val
-    core = max(10.0 / math.sqrt(abs(q) * beta), 10.0 / math.sqrt(beta))
+        return edge, None, None
+    core = max(100.0 / (-q * beta), 100.0 / beta) ** (1.0 / alpha)
     # breakpoints keep the adaptive rule from overlooking a central bump
     # that is narrow relative to the heavy-tail core
-    edge = math.sqrt(45.0 / beta)
-    val, _ = line_quad(shifted, core, tail_power=2.0 / q, points=[-edge, 0.0, edge])
+    return core, alpha / q, [-edge, 0.0, edge]
+
+
+def qgaussian_mass(dist: QGaussian) -> float:
+    """Numeric integral of the pdf (should be 1); used as a self-check."""
+    core, tail_power, points = integration_plan(dist.q, dist.beta)
+    centred = lambda u: qgaussian_pdf(dist, u + dist.mu)
+    val, _ = line_quad(centred, core, tail_power, points)
     return val
 
 
@@ -165,21 +156,7 @@ class QAlphaFamily:
 
 def q_alpha_pdf(fam: QAlphaFamily, x):
     """Unnormalized density a * exp_q(-beta |x|^alpha)."""
-    if np.ndim(x) > 0:
-        ax = np.abs(np.asarray(x, dtype=float))
-        with np.errstate(over="ignore"):
-            arg = -fam.beta * ax ** fam.alpha
-        out = np.zeros_like(ax)
-        ok = np.isfinite(arg)
-        out[ok] = fam.a * exp_q(fam.q, arg[ok])
-        return out
-    try:
-        arg = -fam.beta * abs(float(x)) ** fam.alpha
-    except OverflowError:
-        return 0.0
-    if not math.isfinite(arg):
-        return 0.0
-    return fam.a * exp_q(fam.q, arg)
+    return fam.a * exp_q_neg_power(fam.q, fam.beta, x, fam.alpha)
 
 
 def q_alpha_mass(fam: QAlphaFamily) -> float:
@@ -188,12 +165,9 @@ def q_alpha_mass(fam: QAlphaFamily) -> float:
         raise DomainError(
             f"mass diverges for coupling {fam.q} <= -alpha = {-fam.alpha}"
         )
-    f = lambda x: q_alpha_pdf(fam, x)
-    q, alpha, beta = fam.q, fam.alpha, fam.beta
-    if q > COUPLING_EPS:
-        half = (1.0 / (q * beta)) ** (1.0 / alpha)
-        val, _ = real_quad(f, -half, half, points=[0.0])
-        return val
+    core, tail_power, points = integration_plan(fam.q, fam.beta, fam.alpha)
+    val, _ = line_quad(lambda x: q_alpha_pdf(fam, x), core, tail_power, points)
+    return val
     if abs(q) <= COUPLING_EPS:
         val, _ = line_quad(f, (45.0 / beta) ** (1.0 / alpha))
         return val

@@ -22,16 +22,15 @@ argument never crosses the negative real axis for real x.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._quadrature import complex_quad, line_quad
+from ._quadrature import line_quad
 from .errors import DomainError, PoleError, UnsupportedInputError
-from .qcore import COUPLING_EPS, coupling_value, exp_q, exp_q_complex, ln_q, sinc_q
-from .qdist import DensityGrid, c_q
+from .qcore import COUPLING_EPS, coupling_value, exp_q, exp_q_neg_power, ln_q, sinc_q
+from .qdist import DensityGrid, c_q, integration_plan
 from .qseq import conj_tilde, z_n
 
 _MATCH_TOL = 1e-9
@@ -55,10 +54,7 @@ class QGaussianShape:
             raise DomainError("beta must be positive and finite")
 
     def value(self, x: float) -> float:
-        arg = -self.beta * x * x
-        if not math.isfinite(arg):
-            return 0.0
-        return self.a * exp_q(self.q, arg)
+        return self.a * exp_q_neg_power(self.q, self.beta, x)
 
 
 @dataclass(frozen=True)
@@ -82,13 +78,7 @@ class QAlphaShape:
             raise DomainError("beta must be positive and finite")
 
     def value(self, x: float) -> float:
-        try:
-            arg = -self.beta * abs(x) ** self.alpha
-        except OverflowError:
-            return 0.0
-        if not math.isfinite(arg):
-            return 0.0
-        return self.a * exp_q(self.q, arg)
+        return self.a * exp_q_neg_power(self.q, self.beta, x, self.alpha)
 
 
 @dataclass(frozen=True)
@@ -103,12 +93,14 @@ class UniformShape:
 class TransformResult:
     """Transform values on a caller-supplied frequency grid.
 
-    est_abs_error is the largest per-frequency error estimate.  It is
-    absolute, not relative: where the transform is tiny (far out in
-    frequency) it can exceed the value itself.  q_out is
-    the output coupling when the input is a recognized family at its own
-    coupling (Gaussian-type or uniform), else None; subnormalizable
-    flags q_out <= -2 (the output shape is no longer normalizable).
+    est_abs_error bounds the error of every value at once: the adaptive
+    routes integrate all frequencies in one pass and bound the max norm
+    of the error over them.  It is absolute, not relative: where the
+    transform is tiny (far out in frequency) it can exceed the value
+    itself.  q_out is the output coupling when the input is a recognized
+    family at its own coupling (Gaussian-type or uniform), else None;
+    subnormalizable flags q_out <= -2 (the output shape is no longer
+    normalizable).
     """
 
     ws: np.ndarray
@@ -155,99 +147,57 @@ def _checked_ws(ws) -> np.ndarray:
 
 
 def _line_plan(shape):
-    """Integration layout (interval, core, tail_power, points) for the
-    region where a family member lives."""
-    if isinstance(shape, QGaussianShape):
-        qf, beta = shape.q, shape.beta
-        if qf > COUPLING_EPS:
-            half = 1.0 / math.sqrt(qf * beta)
-            return (-half, half), None, None, [0.0]
-        if abs(qf) <= COUPLING_EPS:
-            return None, math.sqrt(45.0 / beta), None, None
-        core = max(10.0 / math.sqrt(-qf * beta), 10.0 / math.sqrt(beta))
-        # breakpoints keep the adaptive rule from overlooking a central
-        # bump that is narrow relative to the heavy-tail core
-        edge = math.sqrt(45.0 / beta)
-        return None, core, 2.0 / qf, [-edge, 0.0, edge]
-    qf, alpha, beta = shape.q, shape.alpha, shape.beta
-    if qf > COUPLING_EPS:
-        half = (1.0 / (qf * beta)) ** (1.0 / alpha)
-        return (-half, half), None, None, [0.0]
-    if abs(qf) <= COUPLING_EPS:
-        return None, (45.0 / beta) ** (1.0 / alpha), None, None
-    core = max((100.0 / (-qf * beta)) ** (1.0 / alpha), 5.0)
-    edge = (45.0 / beta) ** (1.0 / alpha)
-    return None, core, alpha / qf, [-edge, 0.0, edge]
+    return integration_plan(shape.q, shape.beta, getattr(shape, "alpha", 2.0))
 
 
 def _direct_numeric(shape, q: float, ws: np.ndarray):
-    """Literal quadrature of f exp_q(i x w f^-q) for a kernel q < 0."""
-    interval, core, tail_power, points = _line_plan(shape)
+    """Literal quadrature of f exp_q(i x w f^-q) for a kernel q < 0, over
+    all frequencies in one adaptive pass."""
+    core, tail_power, points = _line_plan(shape)
     value = shape.value
-    vals = np.empty(ws.size, dtype=complex)
-    errs = np.empty(ws.size, dtype=float)
-    for i, w in enumerate(ws):
+    zero = np.zeros(ws.size, dtype=complex)
 
-        def ig(x):
-            v = value(x)
-            if v <= 0.0:
-                return 0j
-            fq = math.exp(-q * math.log(v))
-            return v * exp_q_complex(q, 1j * (w * x * fq))
+    def ig(x):
+        v = value(x)
+        if v <= 0.0:
+            return zero
+        return v * _exp_q_complex_grid(q, ws * (x * math.exp(-q * math.log(v))))
 
-        if interval is not None:
-            v, e = complex_quad(ig, interval[0], interval[1], points=points)
-        else:
-            v, e = line_quad(
-                ig, core, tail_power=tail_power, complex_valued=True, points=points
-            )
-        vals[i] = v
-        errs[i] = e
-    return vals, errs
+    return line_quad(ig, core, tail_power=tail_power, points=points)
 
 
 def _classical_numeric(shape, ws: np.ndarray):
     """Kernel coupling 0: the ordinary Fourier integral of the family.
 
     Power-tailed members use the even symmetry of the family and a
-    Fourier-cosine quadrature over [0, inf); everything else decays fast
-    enough for plain quadrature on the core."""
-    interval, core, tail_power, points = _line_plan(shape)
+    Fourier-cosine quadrature over [0, inf), one frequency at a time;
+    everything else decays fast enough for one pass over the core."""
+    core, tail_power, points = _line_plan(shape)
     value = shape.value
+    if tail_power is None:
+        ig = lambda x: value(x) * np.exp(1j * x * ws)
+        return line_quad(ig, core, points=points)
+    from scipy.integrate import quad
+
     vals = np.empty(ws.size, dtype=complex)
     errs = np.empty(ws.size, dtype=float)
     for i, w in enumerate(ws):
-        if tail_power is None:
-            lo, hi = interval if interval is not None else (-core, core)
-            v, e = complex_quad(
-                lambda x: value(x) * cmath.exp(1j * w * x), lo, hi, points=points
-            )
-        elif w == 0.0:
+        if w == 0.0:
             rv, e = line_quad(value, core, tail_power=tail_power)
-            v = complex(rv)
         else:
-            from scipy.integrate import quad
-
             rv, e = quad(
                 value, 0.0, np.inf, weight="cos", wvar=abs(w),
                 epsabs=1e-11, limit=800, limlst=400,
             )
-            v, e = complex(2.0 * rv), 2.0 * e
-        vals[i] = v
+            rv, e = 2.0 * rv, 2.0 * e
+        vals[i] = rv
         errs[i] = e
     return vals, errs
 
 
 def _uniform_numeric(q: float, ws: np.ndarray):
-    scale = 2.0 ** q
-    vals = np.empty(ws.size, dtype=complex)
-    errs = np.empty(ws.size, dtype=float)
-    for i, w in enumerate(ws):
-        c = w * scale
-        v, e = complex_quad(lambda x: 0.5 * exp_q_complex(q, 1j * (c * x)), -1.0, 1.0)
-        vals[i] = v
-        errs[i] = e
-    return vals, errs
+    c = ws * 2.0 ** q
+    return line_quad(lambda x: 0.5 * _exp_q_complex_grid(q, c * x), 1.0)
 
 
 def _exp_q_complex_grid(q: float, y: np.ndarray) -> np.ndarray:
@@ -296,7 +246,7 @@ def _gaussian_hat_numeric(shape: QGaussianShape, q: float, ws: np.ndarray):
     a, beta = shape.a, shape.beta
     qh = -2.0 * q / (2.0 + q)
     hat = QGaussianShape(qh, a, beta)
-    hat_vals, hat_errs = _direct_numeric(hat, qh, ws)
+    hat_vals, hat_err = _direct_numeric(hat, qh, ws)
 
     amp_hat = a * c_q(qh) / math.sqrt(beta)
     amp = a * c_q(q) / math.sqrt(beta)
@@ -306,21 +256,17 @@ def _gaussian_hat_numeric(shape: QGaussianShape, q: float, ws: np.ndarray):
     q1 = z_n(q, 1)
     scale = width / width_hat
 
-    def back(v: float) -> float:
-        if v <= 0.0:
-            return 0.0
-        return amp * exp_q(q1, scale * ln_q(q1_hat, v / amp_hat))
+    def back(v: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(v)
+        pos = v > 0.0
+        out[pos] = amp * exp_q(q1, scale * ln_q(q1_hat, v[pos] / amp_hat))
+        return out
 
-    vals = np.empty(ws.size, dtype=complex)
-    errs = np.empty(ws.size, dtype=float)
-    for i in range(ws.size):
-        err_in = hat_errs[i] + abs(hat_vals[i].imag)
-        v = hat_vals[i].real
-        out = back(v)
-        spread = max(abs(back(v + err_in) - out), abs(back(v - err_in) - out))
-        vals[i] = complex(out)
-        errs[i] = spread + 1e-15
-    return vals, errs
+    err_in = hat_err + np.abs(hat_vals.imag)
+    v = hat_vals.real
+    out = back(v)
+    spread = np.maximum(np.abs(back(v + err_in) - out), np.abs(back(v - err_in) - out))
+    return out, spread + 1e-15
 
 
 def qft_numeric(f, q, ws) -> TransformResult:

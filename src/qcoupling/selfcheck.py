@@ -111,15 +111,7 @@ def _check_normalization():
     # looked up dynamically so a perturbed c_q is caught here
     for q, beta in ((-1.5, 1.0), (-0.5, 0.37), (0.5, 1.0), (2.0, 1.8)):
         kernel = lambda x: exp_q(q, -beta * x * x)
-        if q > 0.0:
-            half = 1.0 / math.sqrt(q * beta)
-            val, _ = line_quad(kernel, half)
-        else:
-            val, _ = line_quad(kernel, max(10.0 / math.sqrt(-q * beta),
-                                           10.0 / math.sqrt(beta)),
-                               tail_power=2.0 / q,
-                               points=[-1.0 / math.sqrt(beta), 0.0,
-                                       1.0 / math.sqrt(beta)])
+        val, _ = line_quad(kernel, *qdist.integration_plan(q, beta))
         want = qdist.c_q(q) / math.sqrt(beta)
         if abs(val - want) > 1e-6 * want:
             return f"constant mismatch at q={q}: {val} vs {want}"

@@ -9,13 +9,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcoupling import qcore
-from qcoupling.errors import BranchCutError, DomainError, PoleError, SingularDivisorError
+from qcoupling.errors import (
+    BranchCutError,
+    DomainError,
+    NumericsError,
+    PoleError,
+    SingularDivisorError,
+)
 from qcoupling.qcore import (
     Coupling,
     classify_coupling,
     dn_exp_q,
     exp_q,
     exp_q_complex,
+    exp_q_neg_power,
     intn_exp_q,
     ln_q,
     power_rescale,
@@ -67,6 +74,22 @@ class TestExpQ:
         assert arr[1] == pytest.approx(math.e, rel=1e-15)
         assert arr[2] == 0.0
 
+    @pytest.mark.filterwarnings("error")
+    def test_small_coupling_far_from_origin_uses_exact_form(self):
+        # exp(x (1 - q x/2)) turns over at x = 1/q; (1 + q x)^(1/q) does not
+        assert exp_q(1e-11, 3e11) == math.inf
+        assert exp_q(1e-11, 1e12) == math.inf
+        assert exp_q(-1e-11, -3e11) == 0.0
+        assert exp_q(1e-11, -1e12) == 0.0
+        xs = np.array([3e11, 1e12, -1e12, 2.0])
+        arr = exp_q(1e-11, xs)
+        np.testing.assert_array_equal(arr[:3], [math.inf, math.inf, 0.0])
+        assert arr[3] == exp_q(1e-11, 2.0)
+        np.testing.assert_array_equal(exp_q(-1e-11, np.array([-3e11, 3e11])),
+                                      [0.0, math.inf])
+        # where |q x| is small the continuation is kept
+        assert exp_q(1e-11, 700.0) == math.exp(700.0 * (1.0 - 0.5e-11 * 700.0))
+
     def test_nan_rejected(self):
         with pytest.raises(DomainError):
             exp_q(0.5, math.nan)
@@ -113,6 +136,37 @@ class TestExpQ:
         if 1.0 + q * x < 1e-4:  # support edge: round trip is ill-conditioned
             return
         assert rel_close(exp_q(q, x), y, 1e-11)
+
+
+class TestExpQNegPower:
+    @pytest.mark.filterwarnings("error")
+    def test_heavy_tail_stays_finite_to_largest_float(self):
+        # (1 + |q| beta x^2)^(1/q) is a pure power once beta x^2 >> 1
+        for q, beta in ((-1.9, 1.0), (-1.99, 0.3), (-0.5, 2.0)):
+            for x in (1e160, 1e200, 1e308):
+                want = math.exp(math.log(-q * beta * x) / q + math.log(x) / q)
+                got = exp_q_neg_power(q, beta, x)
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-320)
+            assert exp_q_neg_power(-1.9, beta, 1e200) > 0.0
+
+    def test_switch_to_log_space_is_continuous(self):
+        x = math.sqrt(1e300)
+        lo = exp_q_neg_power(-1.5, 1.0, x * (1.0 - 1e-15))
+        hi = exp_q_neg_power(-1.5, 1.0, x * (1.0 + 1e-15))
+        assert hi == pytest.approx(lo, rel=1e-12)
+
+    def test_other_couplings_vanish_far_out(self):
+        for q in (0.0, 1e-11, 0.5):
+            assert exp_q_neg_power(q, 1.0, 1e200) == 0.0
+        assert exp_q_neg_power(-0.5, 1.0, math.inf) == 0.0
+
+    def test_matches_exp_q_and_array_matches_scalar(self):
+        xs = np.array([-1e200, -3.0, 0.0, 0.7, 1e160, 1e308])
+        for q, alpha in ((-1.5, 2.0), (-0.5, 1.0), (0.0, 2.0), (0.8, 1.5)):
+            arr = exp_q_neg_power(q, 1.3, xs, alpha)
+            scal = [exp_q_neg_power(q, 1.3, float(x), alpha) for x in xs]
+            np.testing.assert_allclose(arr, scal, rtol=1e-14, atol=0.0)
+            assert arr[3] == exp_q(q, -1.3 * 0.7 ** alpha)
 
 
 class TestLnQ:
@@ -222,6 +276,14 @@ class TestComplexAndTrig:
     def test_branch_cut_raises(self):
         with pytest.raises(BranchCutError):
             exp_q_complex(1.0, -2.0 + 0j)
+
+    @pytest.mark.filterwarnings("error")
+    def test_out_of_range_raises_numerics_error(self):
+        for q, z in ((0.0, 1000 + 0j), (0.5, 1e300 + 0j), (0.5, 1e200 + 1e200j),
+                     (1e-11, 3e11 + 0j)):
+            with pytest.raises(NumericsError, match="exp_q_complex"):
+                exp_q_complex(q, z)
+        assert exp_q_complex(0.0, -1000 + 0j) == 0.0
 
     def test_conjugate_symmetry(self):
         for q in (-1.5, -0.5, 0.3, 2.0):

@@ -143,6 +143,16 @@ class TestQGaussian:
         d = QGaussian(q, 0.7, 2.3)
         assert qgaussian_mass(d) == pytest.approx(1.0, abs=1e-8)
 
+    @pytest.mark.parametrize("q", [-1.9, -1.95, -1.99])
+    def test_unit_mass_near_minus_two(self, q):
+        # much of the mass lies past |x| = 1e154, where beta x^2 overflows,
+        # and nearer -2 past the largest float
+        try:
+            mass = qgaussian_mass(QGaussian(q, 0.0, 1.0))
+        except NumericsError:
+            return
+        assert abs(mass - 1.0) <= 1e-9
+
     @pytest.mark.parametrize("q,beta", [(-1.5, 0.6), (-0.5, 1.0)])
     def test_tail_exponent(self, q, beta):
         # log-log slope of the density approaches 2/q far in the tail

@@ -361,3 +361,132 @@ class TestResultRecord:
         assert res.est_abs_error == 0.0
         assert res.subnormalizable
         np.testing.assert_allclose(res.values.real, closed.evaluate([0.0, 1.0]))
+
+
+mp = pytest.importorskip("mpmath")
+
+ORACLE_WS = np.array([0.0, 2.5, 5.0])
+
+
+def _mp_exp_q(q, z):
+    if q == 0:
+        return mp.exp(z)
+    base = 1 + q * z
+    if mp.im(base) == 0 and mp.re(base) <= 0:
+        return mp.mpf(0)  # outside a compact support
+    return mp.power(base, 1 / q)
+
+
+def _oracle(f, q, w, breaks):
+    """30-digit transform of an even f at coupling q: twice the real part
+    of the integral of f(x) exp_q(i x w f(x)^-q) over [0, breaks[-1]].
+    An infinite tail past the last finite break X is integrated as
+    x = X/t^3 over t in (0, 1], which leaves a smooth integrand for every
+    tail here (all decay at least like x^(-4/3))."""
+    q = mp.mpf(q)
+
+    def ig(x):
+        v = f(x)
+        if v == 0:
+            return v
+        return mp.re(v * _mp_exp_q(q, 1j * x * w * v ** -q))
+
+    if breaks[-1] != mp.inf:
+        return 2 * mp.quad(ig, [0] + breaks)
+    x_end = breaks[-2]
+    tail = mp.quad(lambda t: ig(x_end / t ** 3) * 3 * x_end / t ** 4, [0, 1])
+    return 2 * (mp.quad(ig, [0] + breaks[:-1]) + tail)
+
+
+def _mp_family(qf, alpha, a, beta):
+    qf = mp.mpf(qf)
+    return lambda x: a * _mp_exp_q(qf, -beta * abs(x) ** alpha)
+
+
+class TestBatchedRoutesAgainstOracle:
+    """Each batched route against an independent 30-digit quadrature of
+    the defining integral, within the route's own error estimate."""
+
+    A, BETA = 0.9, 1.3
+    TAIL = [1, 3, 10, 100, mp.inf]
+
+    def _check(self, res, want):
+        got = res.values
+        err = np.abs(got - np.array([complex(v) for v in want]))
+        assert np.all(err <= res.est_abs_error), (err, res.est_abs_error)
+
+    @pytest.mark.parametrize("q", [-1.5, -0.5])
+    def test_heavy_tail(self, q):
+        res = qft_numeric(QGaussianShape(q, self.A, self.BETA), q, ORACLE_WS)
+        f = _mp_family(q, 2, self.A, self.BETA)
+        with mp.workdps(30):
+            want = [_oracle(f, q, w, self.TAIL) for w in ORACLE_WS]
+        self._check(res, want)
+
+    def test_classical(self):
+        res = qft_numeric(QGaussianShape(0.0, self.A, self.BETA), 0.0, ORACLE_WS)
+        f = _mp_family(0.0, 2, self.A, self.BETA)
+        with mp.workdps(30):
+            want = [_oracle(f, 0.0, w, [1, 3, 10, mp.inf]) for w in ORACLE_WS]
+        self._check(res, want)
+
+    def test_conjugate_mapped(self):
+        # the family coupling 0.5 is mapped to conj_tilde(0.5) = -1/3
+        res = cqft_numeric(QGaussianShape(0.5, self.A, self.BETA), 0.5, ORACLE_WS)
+        qt = conj_tilde(0.5)
+        f = _mp_family(qt, 2, self.A, self.BETA)
+        with mp.workdps(30):
+            want = [_oracle(f, qt, w, self.TAIL) for w in ORACLE_WS]
+        self._check(res, want)
+
+    def test_compact_through_conjugate_member(self):
+        # q > 0: the heavy-tail member at qh is transformed, then its
+        # parameters are mapped back to the compact side
+        q, a, beta = 0.5, self.A, self.BETA
+        res = qft_numeric(QGaussianShape(q, a, beta), q, ORACLE_WS)
+        qh = -2.0 * q / (2.0 + q)
+        with mp.workdps(30):
+            f, fh = _mp_family(q, 2, a, beta), _mp_family(qh, 2, a, beta)
+            half = 1 / mp.sqrt(mp.mpf(q) * beta)
+            amp = _oracle(f, q, 0.0, [half])
+            amp_hat = _oracle(fh, qh, 0.0, self.TAIL)
+            q1, q1_hat = mp.mpf(z_n(q, 1)), mp.mpf(z_n(qh, 1))
+            scale = (2 + mp.mpf(q)) / (2 + mp.mpf(qh)) * mp.mpf(a) ** (2 * (qh - q))
+            want = []
+            for w in ORACLE_WS:
+                ln = ((_oracle(fh, qh, w, self.TAIL) / amp_hat) ** q1_hat - 1) / q1_hat
+                want.append(amp * _mp_exp_q(q1, scale * ln))
+        self._check(res, want)
+
+    def test_alpha_one(self):
+        q = -0.5
+        res = qft_numeric(QAlphaShape(q, 1.0, self.A, self.BETA), q, ORACLE_WS)
+        f = _mp_family(q, 1, self.A, self.BETA)
+        with mp.workdps(30):
+            want = [_oracle(f, q, w, self.TAIL) for w in ORACLE_WS]
+        self._check(res, want)
+
+    @pytest.mark.parametrize("q", [-0.5, 0.3])
+    def test_uniform(self, q):
+        res = qft_numeric(UniformShape(), q, ORACLE_WS)
+        with mp.workdps(30):
+            want = [_oracle(lambda x: mp.mpf(0.5), q, w, [1]) for w in ORACLE_WS]
+        self._check(res, want)
+
+
+class TestBatchedRoutes:
+    @pytest.mark.parametrize("q", [-1.5, 0.0, 0.5])
+    def test_repeat_calls_are_bitwise_equal(self, q):
+        shape = QGaussianShape(q, 0.9, 1.3)
+        a = qft_numeric(shape, q, WS)
+        b = qft_numeric(shape, q, WS)
+        assert a.values.tobytes() == b.values.tobytes()
+        assert a.est_abs_error == b.est_abs_error
+
+    @pytest.mark.parametrize("q", [-1.9, -1.95, -1.99])
+    def test_zero_frequency_near_minus_two(self, q):
+        # the tail past |x| = 1e150 is added as an analytic power law
+        a, beta = 0.8, 1.7
+        res = qft_numeric(QGaussianShape(q, a, beta), q, [0.0])
+        want = a * c_q(q) / math.sqrt(beta)
+        assert abs(res.values[0] - want) <= res.est_abs_error
