@@ -230,11 +230,10 @@ def _cmd_simulate(args, parser):
         _emit(Dataset(columns, [row], meta), args.format, args.out)
         return 0
     per_path = cfg.samples_per_path
-    rows = []
-    for i in range(cfg.n_paths):
-        for k in range(per_path):
-            rows.append((float(i), float(cfg.burn_in + k * cfg.stride),
-                         xs[i * per_path + k]))
+    paths = np.repeat(np.arange(cfg.n_paths, dtype=float), per_path)
+    steps = np.tile(cfg.burn_in + cfg.stride * np.arange(per_path, dtype=float),
+                    cfg.n_paths)
+    rows = list(zip(paths.tolist(), steps.tolist(), xs.tolist()))
     _emit(Dataset(["path", "step", "x"], rows, meta), args.format, args.out)
     return 0
 

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._quadrature import line_quad
-from .errors import DomainError, InsufficientDataError, NumericsError
+from .errors import DomainError, NumericsError
 from .qcore import COUPLING_EPS, coupling_value, exp_q, exp_q_neg_power
 from .qseq import conj_hat
 
@@ -370,6 +370,16 @@ def coupling_phi(q, alpha) -> float:
     return -q / (alpha + q)
 
 
+def check_seed(seed):
+    """Reject a seed that is not None or a non-negative integer."""
+    if seed is None:
+        return
+    if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
+            or seed < 0):
+        raise DomainError(
+            f"seed must be None or a non-negative integer, got {seed!r}")
+
+
 def sample_qgaussian(dist: QGaussian, n: int, seed=None) -> np.ndarray:
     """Draw n samples; deterministic for a given seed.
 
@@ -381,6 +391,7 @@ def sample_qgaussian(dist: QGaussian, n: int, seed=None) -> np.ndarray:
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise DomainError(f"sample count must be a positive integer, got {n!r}")
+    check_seed(seed)
     n = int(n)
     rng = np.random.default_rng(seed)
     q, mu, scale = dist.q, dist.mu, math.sqrt(dist.sigma_sq)
@@ -422,11 +433,3 @@ def sample_qgaussian(dist: QGaussian, n: int, seed=None) -> np.ndarray:
         out[got : got + take] = acc[:take]
         got += take
     return mu + out
-
-
-def fit_requires(n_samples: int, minimum: int = 1000):
-    """Shared guard for statistical fits."""
-    if n_samples < minimum:
-        raise InsufficientDataError(
-            f"need at least {minimum} samples, got {n_samples}"
-        )

@@ -18,8 +18,9 @@ tail regime where sample moments diverge.
 """
 
 import math
+import os
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,19 +30,6 @@ from . import qdist
 
 _BLOWUP = 1.0e12
 _NOISE_BLOCK = 4096
-
-
-def _g_linear(x):
-    return x
-
-
-def _gp_linear(x):
-    return 1.0
-
-
-_G_CHOICES: dict[str, tuple[Callable, Callable]] = {
-    "linear": (_g_linear, _gp_linear),
-}
 
 
 class StationaryPrediction(NamedTuple):
@@ -84,11 +72,11 @@ def fp_coefficients(M, tau, A, x, g=None, gprime=None):
     """
     _check_model_params(M, tau, A)
     if g is None:
-        g, gprime = _g_linear, _gp_linear
+        gx, gpx = float(x), 1.0
     elif gprime is None:
         raise DomainError("gprime is required when g is given")
-    gx = float(g(x))
-    gpx = float(gprime(x))
+    else:
+        gx, gpx = float(g(x)), float(gprime(x))
     J = -(tau - M) * gx * gpx
     D = A + M * gx * gx
     return J, D
@@ -98,6 +86,8 @@ def fp_coefficients(M, tau, A, x, g=None, gprime=None):
 class SdeConfig:
     """Euler-Maruyama run configuration.
 
+    g names the noise coupling function; only "linear", g(x) = x, is
+    implemented. seed is None or a non-negative integer.
     burn_in defaults to ceil(10 / (tau dt)) steps, ten relaxation times.
     Paths start at the origin; sampling keeps one point per path every
     max(1, ceil(1 / (tau dt))) steps after burn-in, about one relaxation
@@ -112,23 +102,28 @@ class SdeConfig:
     steps: int = 30_000
     n_paths: int = 500
     burn_in: int | None = None
-    seed: int = 0
+    seed: int | None = 0
 
     def __post_init__(self):
         _check_model_params(self.M, self.tau, self.A)
-        if self.g not in _G_CHOICES:
+        if self.g != "linear":
             raise DomainError(f"unknown g choice {self.g!r}")
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise DomainError(f"dt must be > 0, got {self.dt}")
         if self.dt * self.tau >= 0.1:
             raise DomainError(
                 f"dt * tau = {self.dt * self.tau:g} too coarse, need < 0.1")
+        qdist.check_seed(self.seed)
+        if self.burn_in is None:
+            self.burn_in = math.ceil(10.0 / (self.tau * self.dt))
+        for name in ("steps", "n_paths", "burn_in"):
+            val = getattr(self, name)
+            if isinstance(val, bool) or not isinstance(val, (int, np.integer)):
+                raise DomainError(f"{name} must be an integer, got {val!r}")
         if self.steps < 1:
             raise DomainError(f"steps must be >= 1, got {self.steps}")
         if self.n_paths < 1:
             raise DomainError(f"n_paths must be >= 1, got {self.n_paths}")
-        if self.burn_in is None:
-            self.burn_in = math.ceil(10.0 / (self.tau * self.dt))
         if self.burn_in < 0:
             raise DomainError(f"burn_in must be >= 0, got {self.burn_in}")
         if self.burn_in >= self.steps:
@@ -144,15 +139,37 @@ class SdeConfig:
         return (self.steps - self.burn_in) // self.stride + 1
 
 
+def _worker_count(n_paths):
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return min(cpus, n_paths)
+
+
+def _fill_noise(streams, noise, add, lo, hi, nb):
+    # fill paths lo..hi-1 of a time-major (block, 2, n_paths) buffer;
+    # the generators release the GIL while they draw
+    scratch = np.empty((nb, 2))
+    for i in range(lo, hi):
+        streams[i].standard_normal(out=scratch)
+        noise[:nb, :, i] = scratch
+    noise[:nb, 1, lo:hi] *= add
+
+
 def simulate(cfg):
     """Integrate the ensemble and return stationary samples.
 
     Output is a flat float array ordered by path index, then by step, of
     length cfg.n_paths * cfg.samples_per_path. Deterministic for a given
-    config: path i consumes its own stream spawned from (seed, i).
+    config: path i consumes its own stream spawned from (seed, i). The
+    noise is drawn on all available cores, one contiguous slice of paths
+    per core; the samples do not depend on the core count.
     Raises InstabilityError if any path exceeds |X| = 1e12.
     """
-    g, gp = _G_CHOICES[cfg.g]
+    from concurrent.futures import ThreadPoolExecutor
+
+    n = cfg.n_paths
     drift = -(cfg.tau - cfg.M) * cfg.dt
     mul = math.sqrt(2.0 * cfg.M * cfg.dt)
     add = math.sqrt(2.0 * cfg.A * cfg.dt)
@@ -160,9 +177,11 @@ def simulate(cfg):
     n_keep = cfg.samples_per_path
 
     streams = [np.random.default_rng(s)
-               for s in np.random.SeedSequence(cfg.seed).spawn(cfg.n_paths)]
-    x = np.zeros(cfg.n_paths)
-    out = np.empty((cfg.n_paths, n_keep))
+               for s in np.random.SeedSequence(cfg.seed).spawn(n)]
+    workers = _worker_count(n)
+    edges = [n * w // workers for w in range(workers + 1)]
+    x, t, u = np.zeros(n), np.empty(n), np.empty(n)
+    out = np.empty((n, n_keep))
     k = 0
     next_keep = cfg.burn_in
     if next_keep == 0:
@@ -170,16 +189,24 @@ def simulate(cfg):
         k, next_keep = 1, stride
 
     step = 0
-    noise = np.empty((cfg.n_paths, min(_NOISE_BLOCK, cfg.steps), 2))
-    with np.errstate(over="ignore", invalid="ignore"):
+    noise = np.empty((min(_NOISE_BLOCK, cfg.steps), 2, n))
+    with ThreadPoolExecutor(workers) as pool, \
+            np.errstate(over="ignore", invalid="ignore"):
         while step < cfg.steps:
             nb = min(_NOISE_BLOCK, cfg.steps - step)
-            for i, rng in enumerate(streams):
-                noise[i, :nb] = rng.standard_normal((nb, 2))
+            list(pool.map(
+                lambda lo, hi: _fill_noise(streams, noise, add, lo, hi, nb),
+                edges[:-1], edges[1:]))
             for j in range(nb):
-                gx = g(x)
-                x = x + drift * gx * gp(x) + mul * gx * noise[:, j, 0] \
-                    + add * noise[:, j, 1]
+                # ((x + drift*x) + (mul*x)*n0) + add*n1 in place; another
+                # grouping would round differently
+                np.multiply(x, drift, out=t)
+                t += x
+                np.multiply(x, mul, out=u)
+                u *= noise[j, 0]
+                t += u
+                t += noise[j, 1]
+                x, t = t, x
                 step += 1
                 if step == next_keep and k < n_keep:
                     out[:, k] = x

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import qcoupling
-from qcoupling import cli, datasets, qdist, qseq
+from qcoupling import cli, datasets, qdist, qseq, sde
 from qcoupling.datasets import Dataset
 from qcoupling.errors import DomainError
 
@@ -68,6 +68,20 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert err.startswith("NumericsError:")
+
+    @pytest.mark.parametrize("args", [
+        ["dist", "sample", "--q", "0.5", "--n", "3", "--seed", "-1"],
+        ["simulate", "--seed", "-3", "--steps", "100", "--n-paths", "2",
+         "--burn-in", "1"],
+    ], ids=["dist", "simulate"])
+    def test_negative_seed_is_domain_error(self, args):
+        proc = subprocess.run(
+            [sys.executable, "-m", "qcoupling.cli", *args],
+            capture_output=True, text=True, env=_src_env(), timeout=60)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("DomainError: seed")
+        assert "Traceback" not in proc.stderr
 
     def test_subnormalizable_dist_is_error(self, capsys):
         code, _, err = run_cli(["dist", "cq", "--q", "-2.5"], capsys)
@@ -260,6 +274,26 @@ class TestSimulateCommand:
         assert first == sorted(first)
         assert first[0] == 200.0
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_sample_rows_match_per_value_rows(self, capsys, fmt):
+        code, out, _ = run_cli(
+            ["simulate", "--seed", "6", "--n-paths", "3", "--steps", "900",
+             "--burn-in", "50", "--format", fmt], capsys)
+        assert code == 0
+        cfg = sde.SdeConfig(steps=900, n_paths=3, burn_in=50, seed=6)
+        xs = sde.simulate(cfg)
+        per_path = cfg.samples_per_path
+        rows = []
+        for i in range(cfg.n_paths):
+            for k in range(per_path):
+                rows.append((float(i), float(cfg.burn_in + k * cfg.stride),
+                             xs[i * per_path + k]))
+        meta = {"M": cfg.M, "A": cfg.A, "tau": cfg.tau, "dt": cfg.dt,
+                "steps": cfg.steps, "n_paths": cfg.n_paths,
+                "burn_in": cfg.burn_in, "seed": cfg.seed}
+        emit = datasets.to_csv if fmt == "csv" else datasets.to_json
+        assert out == emit(Dataset(["path", "step", "x"], rows, meta))
+
     def test_seed_required(self, capsys):
         assert run_cli(["simulate"], capsys)[0] == 2
 
@@ -305,6 +339,14 @@ class TestSelfcheck:
         assert code == 1
         assert any(l.startswith("FAIL normalization")
                    for l in out.splitlines())
+
+
+def _src_env():
+    src = os.path.dirname(os.path.dirname(qcoupling.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
 
 
 def test_console_entry_point():
@@ -358,14 +400,10 @@ def test_scalar_routes_load_no_scipy():
         report["routes"] = run_all(routes)
         print(json.dumps(report))
     """)
-    src = os.path.dirname(os.path.dirname(qcoupling.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-c", script,
          json.dumps([_SCIPY_FREE, _SCIPY_ROUTES])],
-        capture_output=True, text=True, env=env, timeout=120)
+        capture_output=True, text=True, env=_src_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert report["after_import"] == []

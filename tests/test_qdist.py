@@ -461,6 +461,15 @@ class TestSampler:
         with pytest.raises(DomainError):
             sample_qgaussian(QGaussian(0.5), 0, seed=1)
 
+    @pytest.mark.parametrize("seed", [-1, True, 2.0, "3"])
+    def test_sample_rejects_bad_seed(self, seed):
+        with pytest.raises(DomainError, match="seed"):
+            sample_qgaussian(QGaussian(-0.5), 3, seed=seed)
+
+    def test_sample_accepts_numpy_integer_seed(self):
+        assert np.array_equal(sample_qgaussian(QGaussian(-0.5), 3, seed=np.int64(4)),
+                              sample_qgaussian(QGaussian(-0.5), 3, seed=4))
+
     @pytest.mark.filterwarnings("error")
     def test_draws_beyond_float_range_raise(self):
         # near q = -2 the chi-square draws underflow to 0

@@ -1,4 +1,6 @@
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -10,6 +12,11 @@ from qcoupling.errors import (
     InstabilityError,
     InsufficientDataError,
 )
+
+
+def force_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
 
 
 @pytest.fixture(scope="module")
@@ -113,6 +120,14 @@ class TestConfig:
         dict(n_paths=0),
         dict(steps=100, burn_in=100),
         dict(g="cubic"),
+        dict(n_paths=3.0, steps=100, burn_in=10),
+        dict(burn_in=5.5, steps=100),
+        dict(steps=True, burn_in=0),
+        dict(n_paths=True, steps=100, burn_in=10),
+        dict(burn_in=True, steps=100),
+        dict(seed=-1),
+        dict(seed=True),
+        dict(seed=2.0),
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(DomainError):
@@ -180,6 +195,48 @@ class TestSimulate:
                             n_paths=8, burn_in=10, seed=1)
         with pytest.raises(InstabilityError):
             sde.simulate(cfg)
+
+    @pytest.mark.parametrize("n_paths", [5, 1])
+    def test_samples_do_not_depend_on_worker_count(self, monkeypatch, n_paths):
+        # 5 paths split unevenly over 2 and 3 workers; 1 path is fewer
+        # paths than workers
+        monkeypatch.setattr(sde, "_NOISE_BLOCK", 64)
+        cfg = sde.SdeConfig(steps=300, n_paths=n_paths, burn_in=37, seed=11)
+        runs = []
+        for workers in (1, 2, 3):
+            force_cpus(monkeypatch, workers)
+            assert sde._worker_count(n_paths) == min(workers, n_paths)
+            runs.append(sde.simulate(cfg))
+        for run in runs[1:]:
+            assert np.array_equal(run, runs[0])
+
+    def test_instability_leaves_no_worker_thread(self, monkeypatch):
+        force_cpus(monkeypatch, 3)
+        cfg = sde.SdeConfig(M=20.0, tau=1.0, A=0.5, dt=0.05, steps=5000,
+                            n_paths=8, burn_in=10, seed=1)
+        before = threading.active_count()
+        with pytest.raises(InstabilityError):
+            sde.simulate(cfg)
+        assert threading.active_count() == before
+
+    def test_noise_failure_reaches_caller(self, monkeypatch):
+        class Broken:
+            def standard_normal(self, out):
+                raise RuntimeError("draw failed")
+
+        real_rng = np.random.default_rng
+        made = []
+
+        def rng(seed):
+            made.append(seed)
+            return Broken() if len(made) == 4 else real_rng(seed)
+
+        force_cpus(monkeypatch, 2)
+        monkeypatch.setattr(np.random, "default_rng", rng)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="draw failed"):
+            sde.simulate(sde.SdeConfig(steps=300, n_paths=5, burn_in=37))
+        assert threading.active_count() == before
 
 
 class TestFit:
