@@ -168,7 +168,8 @@ def _cmd_dist(args, parser):
     xs = qdist.sample_qgaussian(dist, args.n, args.seed)
     meta = {"q": args.q, "mu": args.mu, "sigma_sq": args.sigma_sq,
             "seed": args.seed}
-    _emit(Dataset(["x"], [(v,) for v in xs], meta), args.format, args.out)
+    rows = [(v,) for v in xs.tolist()]
+    _emit(Dataset(["x"], rows, meta), args.format, args.out)
     return 0
 
 

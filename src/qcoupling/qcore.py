@@ -114,7 +114,7 @@ def exp_q(q, x):
         with q < 0, while q > 0 clamps to 0 outside the support.
     """
     q = coupling_value(q)
-    # a float (np.float64 included) skips np.ndim, which quadrature calls often
+    # a float (np.float64 included) skips np.ndim, the slower test
     if not isinstance(x, float) and np.ndim(x) > 0:
         return _exp_q_array(q, x)
     x = _finite(x, "x")

@@ -168,13 +168,6 @@ def q_alpha_mass(fam: QAlphaFamily) -> float:
     core, tail_power, points = integration_plan(fam.q, fam.beta, fam.alpha)
     val, _ = line_quad(lambda x: q_alpha_pdf(fam, x), core, tail_power, points)
     return val
-    if abs(q) <= COUPLING_EPS:
-        val, _ = line_quad(f, (45.0 / beta) ** (1.0 / alpha))
-        return val
-    core = max((100.0 / (abs(q) * beta)) ** (1.0 / alpha), 5.0)
-    edge = (45.0 / beta) ** (1.0 / alpha)
-    val, _ = line_quad(f, core, tail_power=alpha / q, points=[-edge, 0.0, edge])
-    return val
 
 
 def q_alpha_normalize(fam: QAlphaFamily) -> QAlphaFamily:

@@ -27,13 +27,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quadrature import line_quad
+from ._quadrature import cosine_quad, line_quad
 from .errors import DomainError, PoleError, UnsupportedInputError
 from .qcore import COUPLING_EPS, coupling_value, exp_q, exp_q_neg_power, ln_q, sinc_q
 from .qdist import DensityGrid, c_q, integration_plan
 from .qseq import conj_tilde, z_n
 
 _MATCH_TOL = 1e-9
+
+# frequencies per pass of the grid transform
+_GRID_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -53,7 +56,7 @@ class QGaussianShape:
         if not (self.beta > 0.0 and math.isfinite(self.beta)):
             raise DomainError("beta must be positive and finite")
 
-    def value(self, x: float) -> float:
+    def value(self, x):
         return self.a * exp_q_neg_power(self.q, self.beta, x)
 
 
@@ -77,7 +80,7 @@ class QAlphaShape:
         if not (self.beta > 0.0 and math.isfinite(self.beta)):
             raise DomainError("beta must be positive and finite")
 
-    def value(self, x: float) -> float:
+    def value(self, x):
         return self.a * exp_q_neg_power(self.q, self.beta, x, self.alpha)
 
 
@@ -85,22 +88,21 @@ class QAlphaShape:
 class UniformShape:
     """Transform input: density 1/2 on [-1, 1], zero elsewhere."""
 
-    def value(self, x: float) -> float:
-        return 0.5 if abs(x) <= 1.0 else 0.0
+    def value(self, x):
+        return np.where(np.abs(x) <= 1.0, 0.5, 0.0)
 
 
 @dataclass(frozen=True, eq=False)
 class TransformResult:
     """Transform values on a caller-supplied frequency grid.
 
-    est_abs_error bounds the error of every value at once: the adaptive
-    routes integrate all frequencies in one pass and bound the max norm
-    of the error over them.  It is absolute, not relative: where the
-    transform is tiny (far out in frequency) it can exceed the value
-    itself.  q_out is the output coupling when the input is a recognized
-    family at its own coupling (Gaussian-type or uniform), else None;
-    subnormalizable flags q_out <= -2 (the output shape is no longer
-    normalizable).
+    errors[i] bounds the absolute error of values[i]; est_abs_error is
+    their max, one bound for every value at once.  Both are absolute,
+    not relative: where the transform is tiny (far out in frequency) an
+    error can exceed the value itself.  q_out is the output coupling
+    when the input is a recognized family at its own coupling
+    (Gaussian-type or uniform), else None; subnormalizable flags
+    q_out <= -2 (the output shape is no longer normalizable).
     """
 
     ws: np.ndarray
@@ -109,10 +111,14 @@ class TransformResult:
     est_abs_error: float
     q_out: float | None = None
     subnormalizable: bool = False
+    errors: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "ws", np.asarray(self.ws, dtype=float))
         object.__setattr__(self, "values", np.asarray(self.values, dtype=complex))
+        errors = (np.full(self.ws.shape, self.est_abs_error)
+                  if self.errors is None else self.errors)
+        object.__setattr__(self, "errors", np.asarray(errors, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -155,13 +161,15 @@ def _direct_numeric(shape, q: float, ws: np.ndarray):
     all frequencies in one adaptive pass."""
     core, tail_power, points = _line_plan(shape)
     value = shape.value
-    zero = np.zeros(ws.size, dtype=complex)
 
     def ig(x):
         v = value(x)
-        if v <= 0.0:
-            return zero
-        return v * _exp_q_complex_grid(q, ws * (x * math.exp(-q * math.log(v))))
+        out = np.zeros((x.size, ws.size), dtype=complex)
+        pos = v > 0.0
+        v = v[pos]
+        y = (x[pos] * np.exp(-q * np.log(v)))[:, None] * ws
+        out[pos] = _exp_q_complex_grid(q, y, v[:, None])
+        return out
 
     return line_quad(ig, core, tail_power=tail_power, points=points)
 
@@ -169,44 +177,49 @@ def _direct_numeric(shape, q: float, ws: np.ndarray):
 def _classical_numeric(shape, ws: np.ndarray):
     """Kernel coupling 0: the ordinary Fourier integral of the family.
 
-    Power-tailed members use the even symmetry of the family and a
-    Fourier-cosine quadrature over [0, inf), one frequency at a time;
-    everything else decays fast enough for one pass over the core."""
+    Power-tailed members use the even symmetry of the family and the
+    double-exponential Fourier-cosine rule over [0, inf) at every
+    nonzero frequency at once; everything else decays fast enough for
+    one pass over the core."""
     core, tail_power, points = _line_plan(shape)
     value = shape.value
     if tail_power is None:
-        ig = lambda x: value(x) * np.exp(1j * x * ws)
+        ig = lambda x: _polar(value(x)[:, None], np.outer(x, ws))
         return line_quad(ig, core, points=points)
-    from scipy.integrate import quad
-
     vals = np.empty(ws.size, dtype=complex)
     errs = np.empty(ws.size, dtype=float)
-    for i, w in enumerate(ws):
-        if w == 0.0:
-            rv, e = line_quad(value, core, tail_power=tail_power)
-        else:
-            rv, e = quad(
-                value, 0.0, np.inf, weight="cos", wvar=abs(w),
-                epsabs=1e-11, limit=800, limlst=400,
-            )
-            rv, e = 2.0 * rv, 2.0 * e
-        vals[i] = rv
-        errs[i] = e
+    zero = ws == 0.0
+    if zero.any():
+        vals[zero], errs[zero] = line_quad(value, core, tail_power=tail_power)
+    if not zero.all():
+        half, half_err = cosine_quad(value, np.abs(ws[~zero]))
+        vals[~zero], errs[~zero] = 2.0 * half, 2.0 * half_err
     return vals, errs
 
 
 def _uniform_numeric(q: float, ws: np.ndarray):
     c = ws * 2.0 ** q
-    return line_quad(lambda x: 0.5 * _exp_q_complex_grid(q, c * x), 1.0)
+    return line_quad(lambda x: _exp_q_complex_grid(q, np.outer(x, c), 0.5), 1.0)
 
 
-def _exp_q_complex_grid(q: float, y: np.ndarray) -> np.ndarray:
-    """Vectorized exp_q(i y) for real y; 1 + i q y never touches the
-    branch cut."""
+def _polar(r, theta: np.ndarray) -> np.ndarray:
+    """r * exp(i theta) in real arithmetic."""
+    out = np.empty(theta.shape, dtype=complex)
+    out.real = r * np.cos(theta)
+    out.imag = r * np.sin(theta)
+    return out
+
+
+def _exp_q_complex_grid(q: float, y: np.ndarray, scale=1.0) -> np.ndarray:
+    """scale * exp_q(i y) for real y, as modulus and phase in real
+    arithmetic: 1 + i t with t = q y has modulus sqrt(1 + t^2) and angle
+    arctan(t), and never touches the branch cut."""
     if abs(q) <= COUPLING_EPS:
-        return np.exp(1j * y + 0.5 * q * y * y)
-    z = 1.0 + 1j * (q * y)
-    return np.exp(np.log(z) / q)
+        return _polar(scale * np.exp(0.5 * q * y * y), y)
+    t = q * y
+    with np.errstate(over="ignore"):
+        modulus = np.exp(np.log1p(t * t) / (2.0 * q))
+    return _polar(scale * modulus, np.arctan(t) / q)
 
 
 def _grid_numeric(grid: DensityGrid, q: float, ws: np.ndarray):
@@ -218,20 +231,23 @@ def _grid_numeric(grid: DensityGrid, q: float, ws: np.ndarray):
     # the half-step rule needs an odd count to end on the same sample, so
     # the estimate compares both rules on the longest odd-length prefix
     m = f.size if f.size % 2 else f.size - 1
-    xs = grid.xs
     pos = f > 0.0
-    fq = np.zeros_like(f)
-    fq[pos] = 1.0 if abs(q) <= COUPLING_EPS else np.exp(-q * np.log(f[pos]))
+    fp = f[pos]
+    xq = grid.xs[pos]
+    if abs(q) > COUPLING_EPS:
+        xq = xq * np.exp(-q * np.log(fp))
     vals = np.empty(ws.size, dtype=complex)
     errs = np.empty(ws.size, dtype=float)
-    for i, w in enumerate(ws):
-        g = np.zeros(f.size, dtype=complex)
-        g[pos] = f[pos] * _exp_q_complex_grid(q, w * xs[pos] * fq[pos])
-        full = complex(np.trapezoid(g, dx=grid.dx))
-        prefix = full if m == f.size else complex(np.trapezoid(g[:m], dx=grid.dx))
-        half = complex(np.trapezoid(g[:m:2], dx=2.0 * grid.dx))
-        vals[i] = full
-        errs[i] = abs(prefix - half) / 3.0 + 1e-15
+    # blocks of frequencies keep the (frequencies x samples) matrix small
+    for lo in range(0, ws.size, _GRID_BLOCK):
+        w = ws[lo : lo + _GRID_BLOCK]
+        g = np.zeros((w.size, f.size), dtype=complex)
+        g[:, pos] = _exp_q_complex_grid(q, np.outer(w, xq), fp)
+        full = np.trapezoid(g, dx=grid.dx, axis=1)
+        prefix = full if m == f.size else np.trapezoid(g[:, :m], dx=grid.dx, axis=1)
+        half = np.trapezoid(g[:, :m:2], dx=2.0 * grid.dx, axis=1)
+        vals[lo : lo + w.size] = full
+        errs[lo : lo + w.size] = np.abs(prefix - half) / 3.0 + 1e-15
     return vals, errs
 
 
@@ -322,7 +338,8 @@ def qft_numeric(f, q, ws) -> TransformResult:
             f"unsupported transform input type {type(f).__name__}"
         )
     sub = q_out is not None and q_out <= -2.0
-    return TransformResult(ws_arr, vals, "numeric", float(np.max(errs)), q_out, sub)
+    return TransformResult(
+        ws_arr, vals, "numeric", float(np.max(errs)), q_out, sub, errs)
 
 
 def qft_qgaussian_closed(a, beta, q) -> ClosedFormQGaussian:

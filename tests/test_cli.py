@@ -306,6 +306,19 @@ class TestSimulateCommand:
         assert "InstabilityError" in err
 
 
+class TestDistSampleCommand:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_rows_match_per_value_rows(self, capsys, fmt):
+        code, out, _ = run_cli(
+            ["dist", "sample", "--q", "-0.7", "--mu", "0.3", "--n", "400",
+             "--seed", "12", "--format", fmt], capsys)
+        assert code == 0
+        xs = qdist.sample_qgaussian(qdist.QGaussian(-0.7, 0.3, 1.0), 400, 12)
+        meta = {"q": -0.7, "mu": 0.3, "sigma_sq": 1.0, "seed": 12}
+        emit = datasets.to_csv if fmt == "csv" else datasets.to_json
+        assert out == emit(Dataset(["x"], [(v,) for v in xs], meta))
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("args", [
         ["figure", "3"],
@@ -358,7 +371,7 @@ def test_console_entry_point():
     assert float(proc.stdout) == pytest.approx(1.0)
 
 
-# Closed-form and scalar routes: none of these may load scipy.
+# Every subcommand, the routes that integrate or minimise included.
 _SCIPY_FREE = [
     ["eval", "exp_q", "--q", "0.5", "--x", "1.2"],
     ["seq", "hat", "--q", "1"],
@@ -367,46 +380,52 @@ _SCIPY_FREE = [
     ["dist", "sample", "--q", "-0.5", "--n", "20", "--seed", "7"],
     ["transform", "gaussian", "--q", "0.5"],
     ["transform", "gaussian", "--q", "0.5", "--conjugate"],
+    ["transform", "gaussian", "--q", "-0.5", "--n", "3", "--method",
+     "numeric"],
+    ["transform", "gaussian", "--q", "0.5", "--n", "3", "--method",
+     "numeric", "--conjugate"],
+    ["transform", "uniform", "--q", "0.3", "--n", "3", "--method",
+     "numeric"],
+    ["simulate", "--seed", "3", "--n-paths", "40", "--steps", "5000",
+     "--fit"],
     ["figure", "1"],
     ["figure", "2"],
     ["figure", "3"],
     ["figure", "4"],
-]
-# Routes that integrate or minimise, run after the check above.
-_SCIPY_ROUTES = [
-    ["transform", "gaussian", "--q", "-0.5", "--n", "3", "--method",
-     "numeric"],
-    ["simulate", "--seed", "3", "--n-paths", "40", "--steps", "5000",
-     "--fit"],
+    ["selfcheck"],
 ]
 
 
 def test_scalar_routes_load_no_scipy():
+    # the Python API's classical transform of a heavy tail, run last, is
+    # the Fourier-cosine route that no subcommand reaches
     script = textwrap.dedent("""
         import contextlib, io, json, sys
-        from qcoupling import cli
-
-        def run_all(cases):
-            with contextlib.redirect_stdout(io.StringIO()):
-                return [cli.run(args) for args in cases]
+        from qcoupling import cli, qft
 
         def scipy_loaded():
             return sorted(m for m in sys.modules
                           if m == "scipy" or m.startswith("scipy."))
 
-        free, routes = json.loads(sys.argv[1])
-        report = {"after_import": scipy_loaded(), "free": run_all(free)}
-        report["after_free"] = scipy_loaded()
-        report["routes"] = run_all(routes)
+        report = {"after_import": scipy_loaded(), "codes": [],
+                  "loaded": []}
+        for args in json.loads(sys.argv[1]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                report["codes"].append(cli.run(args))
+            report["loaded"].append(scipy_loaded())
+        qft.qft_numeric(qft.QGaussianShape(-1.0, 0.5, 1.0), 0.0,
+                        [0.0, 0.1, 2.0])
+        report["after_api"] = scipy_loaded()
         print(json.dumps(report))
     """)
     proc = subprocess.run(
-        [sys.executable, "-c", script,
-         json.dumps([_SCIPY_FREE, _SCIPY_ROUTES])],
+        [sys.executable, "-c", script, json.dumps(_SCIPY_FREE)],
         capture_output=True, text=True, env=_src_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert report["after_import"] == []
-    assert report["free"] == [0] * len(_SCIPY_FREE)
-    assert report["after_free"] == []
-    assert report["routes"] == [0] * len(_SCIPY_ROUTES)
+    assert report["codes"] == [0] * len(_SCIPY_FREE)
+    assert report["loaded"] == [[]] * len(_SCIPY_FREE)
+    assert report["after_api"] == []
+    commands = {args[0] for args in _SCIPY_FREE}
+    assert commands == set(cli._HANDLERS)

@@ -363,6 +363,57 @@ class TestResultRecord:
         np.testing.assert_allclose(res.values.real, closed.evaluate([0.0, 1.0]))
 
 
+GAUSS_ERROR_CASES = [
+    (q, a, beta)
+    for q in (-1.99, -1.5, -0.5, 0.0, 0.5, 1.0, 3.0)
+    for a in (0.8, 1.25)
+    for beta in (0.8, 1.25)
+]
+
+
+class TestPerFrequencyErrors:
+    """Every numeric value lies within its own frequency's error bound."""
+
+    def _check(self, res, closed):
+        assert res.errors.shape == res.ws.shape
+        assert res.est_abs_error == res.errors.max()
+        assert np.all(np.abs(res.values - closed) <= res.errors)
+
+    @pytest.mark.parametrize("q, a, beta", GAUSS_ERROR_CASES)
+    def test_gaussian(self, q, a, beta):
+        res = qft_numeric(QGaussianShape(q, a, beta), q, WS)
+        self._check(res, qft_qgaussian_closed(a, beta, q).evaluate(WS))
+
+    @pytest.mark.parametrize("q", [-0.4, 0.4])
+    def test_uniform(self, q):
+        res = qft_numeric(UniformShape(), q, WS)
+        self._check(res, qft_uniform_closed(q, WS))
+
+    @pytest.mark.parametrize("q", [-0.5, 0.5, 2.0])
+    def test_conjugate(self, q):
+        # q = -0.5 maps to the compact coupling 1 and its propagated spread
+        res = cqft_numeric(QGaussianShape(q, 0.8, 1.25), q, WS)
+        self._check(res, cqft_qgaussian_closed(0.8, 1.25, q).evaluate(WS))
+
+    def test_errors_differ_by_frequency(self):
+        res = qft_numeric(QGaussianShape(-0.5, 1.0, 1.0), -0.5, WS)
+        assert res.errors.min() < res.errors.max()
+
+    def test_grid_errors_per_frequency(self):
+        dist = QGaussian(-0.5, 0.0, 1.0)
+        xs = np.linspace(-60.0, 60.0, 12001)
+        grid = DensityGrid(xs[0], xs[1] - xs[0], qgaussian_pdf(dist, xs))
+        res = qft_numeric(grid, -0.5, WS)
+        assert res.errors.shape == WS.shape
+        assert res.est_abs_error == res.errors.max()
+        # Hermitian symmetry of the rule: mirrored frequencies, same error
+        np.testing.assert_allclose(res.errors, res.errors[::-1], rtol=1e-6)
+
+    def test_closed_form_errors_are_zero(self):
+        res = qft_qgaussian_closed(1.0, 1.0, 0.5).to_result(WS)
+        assert np.array_equal(res.errors, np.zeros(WS.size))
+
+
 mp = pytest.importorskip("mpmath")
 
 ORACLE_WS = np.array([0.0, 2.5, 5.0])
@@ -490,3 +541,46 @@ class TestBatchedRoutes:
         res = qft_numeric(QGaussianShape(q, a, beta), q, [0.0])
         want = a * c_q(q) / math.sqrt(beta)
         assert abs(res.values[0] - want) <= res.est_abs_error
+
+
+def _mp_cosine_transform(q, alpha, a, beta, w):
+    """20-digit integral of f(x) cos(w x) over the line for the even
+    f = a exp_q(-beta |x|^alpha), q < 0: the first period by tanh-sinh
+    quadrature on octave breakpoints, the rest by mpmath's quadosc."""
+    with mp.workdps(20):
+        q = mp.mpf(q)
+
+        def ig(x):
+            return a * (1 - q * beta * x ** alpha) ** (1 / q) * mp.cos(w * x)
+
+        period = 2 * mp.pi / w
+        octaves = [2.0 ** k for k in range(-1, 13) if 2.0 ** k < period]
+        head = mp.quad(ig, [0] + octaves + [period])
+        return float(2 * (head + mp.quadosc(ig, [period, mp.inf], omega=w)))
+
+
+class TestFourierCosineRule:
+    """The classical transform of a heavy tail, which the double-
+    exponential Fourier-cosine rule computes, against two independent
+    oracles."""
+
+    @pytest.mark.parametrize("w", [1e-3, 0.05, 1.0, 5.0])
+    def test_against_mpmath_quadosc(self, w):
+        # small w puts most nodes far out on the tail: the rule's weakest
+        # point
+        q, alpha, a, beta = -0.6, 1.5, 0.9, 1.3
+        res = qft_numeric(QAlphaShape(q, alpha, a, beta), 0.0, [w])
+        want = _mp_cosine_transform(q, alpha, a, beta, w)
+        assert abs(res.values[0] - want) <= res.errors[0]
+
+    @pytest.mark.parametrize("q", [-1.0, -1.5, -1.9])
+    def test_against_qawf(self, q):
+        shape = QGaussianShape(q, 0.9, 1.3)
+        res = qft_numeric(shape, 0.0, WS)
+        for w, value, err in zip(WS, res.values, res.errors):
+            if w == 0.0:
+                continue
+            half, half_err = quad(shape.value, 0.0, np.inf, weight="cos",
+                                  wvar=abs(w), epsabs=1e-11, limit=800,
+                                  limlst=400)
+            assert abs(value - 2.0 * half) <= err + 2.0 * half_err

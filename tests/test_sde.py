@@ -291,6 +291,54 @@ class TestFit:
             sde.fit_qgaussian(bad)
 
 
+class TestNelderMead:
+    """The simplex search against scipy's, kept as the test oracle."""
+
+    @staticmethod
+    def _scipy(fn, x0, args=(), maxfev=10_000):
+        from scipy.optimize import minimize
+
+        return minimize(fn, x0, args=args, method="Nelder-Mead",
+                        options=dict(fatol=1e-8, xatol=1e-6, maxfev=maxfev,
+                                     maxiter=10_000))
+
+    @pytest.mark.parametrize("max_evals", [10_000, 60])
+    def test_same_steps_as_scipy(self, max_evals):
+        calls = []
+
+        def rosen(th):
+            calls.append(1)
+            return float(100.0 * (th[1] - th[0] ** 2) ** 2
+                         + (1.0 - th[0]) ** 2 + th[2] ** 2)
+
+        x, fun, done = sde._nelder_mead(rosen, [-1.2, 1.0, 0.0],
+                                        max_evals=max_evals)
+        evals = len(calls)
+        res = self._scipy(rosen, [-1.2, 1.0, 0.0], maxfev=max_evals)
+        assert np.array_equal(x, res.x)
+        assert fun == res.fun
+        assert evals == res.nfev
+        assert done == res.success
+
+    @pytest.mark.parametrize("source", ["headline", "heavy", "gaussian",
+                                        "compact"])
+    def test_fit_matches_scipy(self, headline_run, source):
+        if source == "headline":
+            xs = headline_run[1]
+        elif source == "gaussian":
+            xs = np.random.default_rng(5).standard_normal(100_000)
+        else:
+            q, seed = (-0.5, 11) if source == "heavy" else (1.0, 9)
+            xs = qdist.sample_qgaussian(qdist.QGaussian(q), 50_000, seed=seed)
+        rep = sde.fit_qgaussian(xs)
+        res = self._scipy(sde._neg_loglik, sde._initial_guess(xs), args=(xs,))
+        q, mu, lnb = res.x
+        want = (q, math.exp(lnb), mu, -res.fun)
+        np.testing.assert_allclose(rep[:4], want, rtol=1e-8, atol=1e-8)
+        assert rep.n == xs.size
+        assert rep.converged == (res.success and res.fun < sde._PENALTY)
+
+
 class TestEndToEnd:
     def test_recovers_predicted_law(self, headline_run):
         cfg, xs = headline_run
