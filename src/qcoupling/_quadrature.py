@@ -11,8 +11,9 @@ Errors are kept per entry.  Every interval carries QUADPACK's error
 estimate for each entry, and their sum over the intervals is the error
 array returned, one bound per frequency.  Each round splits the
 intervals of largest error (the max over their entries) until those
-left whole hold less than an eighth of the tolerance; refinement stops
-once every entry's error is below that eighth, or at 2000 intervals.
+left whole hold less than an eighth of the tolerance, but never so many
+that one call exceeds 2^19 values; refinement stops once every entry's
+error is below that eighth, or at 2000 intervals.
 
 The whole line is folded onto x >= 0.  Power-law tails are never
 truncated: the tail [X0, inf) is mapped onto (0, 1] by x = X0 * s^-m,
@@ -24,9 +25,9 @@ X = 1e150 is added analytically and counted in the error.
 
 A power tail under an undamped oscillation, the ordinary Fourier
 transform of a heavy-tailed density, goes to the double-exponential
-Fourier-cosine rule of Ooura & Mori (1999) instead.  It evaluates every
-node at every frequency in one call and takes its error from halving
-the step.
+Fourier-cosine rule of Ooura & Mori (1999) instead.  It evaluates all
+its nodes at a whole block of frequencies in one call and takes its
+error from halving the step.
 """
 
 from __future__ import annotations
@@ -40,6 +41,10 @@ from .errors import NumericsError
 _EPSABS = 1e-11
 _EPSREL = 1e-10
 _LIMIT = 2000
+
+# integrand values (nodes x entries) per call: bounds the memory a round
+# takes when many intervals split at many frequencies
+_BATCH = 1 << 19
 
 # where the mapped tail ends and the analytic power-law remainder begins
 _X_END = 1e150
@@ -120,6 +125,7 @@ def _adaptive(fn, lo, hi, points=None):
     edges = np.array([lo, *inner, hi], dtype=float)
     a, b = edges[:-1], edges[1:]
     val, err, rounding, shape = _gk21(fn, a, b)
+    most = max(1, _BATCH // (2 * 21 * val.shape[1]))
     tol = _tolerance(val)
     while True:
         # split the largest errors first, until the intervals left whole
@@ -128,7 +134,7 @@ def _adaptive(fn, lo, hi, points=None):
         order = np.argsort(-size, kind="stable")
         left = size.sum() - np.cumsum(size[order])
         n_split = 1 + int(np.count_nonzero(left[:-1] >= tol / 8.0))
-        n_split = min(n_split, _LIMIT - a.size)
+        n_split = min(n_split, most, _LIMIT - a.size)
         split, whole = order[:n_split], order[n_split:]
         mid = 0.5 * (a[split] + b[split])
         nv, ne, nr, _ = _gk21(fn, np.concatenate((a[split], mid)),
@@ -243,11 +249,24 @@ def cosine_quad(fn, ws):
 
     fn takes a 1-d array of nodes and must be bounded, smooth on
     (0, inf) and integrable at infinity.  Each step h of the rule
-    evaluates fn once on the (nodes x ws) batch; the step is halved
+    evaluates fn once on the (nodes x ws) batch of a block of up to
+    2^19 / nodes frequencies; the step is halved
     while any frequency's two last results differ by more than the
     tolerance, and that difference, with a rounding floor, is the
     error returned for each frequency."""
     ws = np.asarray(ws, dtype=float)
+    vals = np.empty(ws.size)
+    errs = np.empty(ws.size)
+    # frequencies per batch, so that even the finest rule stays in _BATCH
+    nodes = math.ceil((_DE_WINDOW[1] - _DE_WINDOW[0]) / _DE_STEPS[-1]) + 2
+    block = max(1, _BATCH // nodes)
+    for lo in range(0, ws.size, block):
+        vals[lo : lo + block], errs[lo : lo + block] = _cosine_block(
+            fn, ws[lo : lo + block])
+    return vals, errs
+
+
+def _cosine_block(fn, ws):
     vals = np.empty(ws.size)
     errs = np.full(ws.size, np.inf)
     active = np.arange(ws.size)

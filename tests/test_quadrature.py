@@ -59,3 +59,36 @@ def test_power_tail_with_remainder():
 def test_non_finite_integrand_raises():
     with pytest.raises(NumericsError):
         line_quad(lambda x: np.where(x > 0.5, np.inf, 1.0), 1.0)
+
+
+def test_rounds_stay_within_the_batch(monkeypatch):
+    ws = np.arange(1.0, 9.0) * 40.0
+    # room for four split intervals per round at eight entries
+    monkeypatch.setattr(quadrature, "_BATCH", 4 * 2 * 21 * ws.size)
+    sizes = []
+
+    def fn(x):
+        sizes.append(x.size)
+        return np.cos(np.outer(x, ws))
+
+    val, err = quadrature._adaptive(fn, 0.0, 1.0)
+    assert max(sizes) * ws.size <= quadrature._BATCH
+    assert np.all(np.abs(val - np.sin(ws) / ws) <= err)
+
+
+def test_cosine_rule_in_frequency_blocks(monkeypatch):
+    sizes = []
+
+    def fn(x):
+        sizes.append(x.size)
+        return 1.0 / (1.0 + x * x)
+
+    ws = np.linspace(0.01, 8.0, 40)
+    whole = quadrature.cosine_quad(fn, ws)
+    monkeypatch.setattr(quadrature, "_BATCH", 7 * 1200)
+    sizes.clear()
+    blocked = quadrature.cosine_quad(fn, ws)
+    assert max(sizes) <= quadrature._BATCH
+    np.testing.assert_allclose(blocked, whole, rtol=1e-14, atol=0.0)
+    # integral of cos(w x) / (1 + x^2) over [0, inf) is pi e^-w / 2
+    assert np.all(np.abs(whole[0] - 0.5 * np.pi * np.exp(-ws)) <= whole[1])
