@@ -15,6 +15,8 @@ Branch conventions used throughout the package:
 * A nonpositive base (1 + q*x <= 0) clamps to 0 when q > 0 (compact
   support) and maps to +inf when q < 0 (the divergent end of a heavy
   tail).  These are the only two ways the base can leave (0, inf).
+* exp_q, exp_q_neg_power, ln_q, sin_q and sinc_q evaluate arrays; a
+  scalar argument runs as a one-element array and gives a Python float.
 """
 
 from __future__ import annotations
@@ -97,6 +99,16 @@ class Coupling:
         return float(self.q)
 
 
+def _scalar_or_array(kernel, q, x, *args):
+    """kernel(q, x, *args) with q validated and x as a float array of at
+    least one dimension: a scalar x gives a Python float back, an array x
+    an array of its shape."""
+    q = coupling_value(q)
+    x = np.asarray(x, dtype=float)
+    out = kernel(q, np.atleast_1d(x), *args)
+    return float(out[0]) if x.ndim == 0 else out
+
+
 def exp_q(q, x):
     """Deformed exponential (1 + q*x)_+^(1/q).
 
@@ -113,39 +125,21 @@ def exp_q(q, x):
         Nonnegative; +inf marks the divergent boundary 1 + q*x -> 0
         with q < 0, while q > 0 clamps to 0 outside the support.
     """
-    q = coupling_value(q)
-    # a float (np.float64 included) skips np.ndim, the slower test
-    if not isinstance(x, float) and np.ndim(x) > 0:
-        return _exp_q_array(q, x)
-    x = _finite(x, "x")
-    if abs(q) <= COUPLING_EPS and abs(q * x) <= _SMALL_QX:
-        try:
-            return math.exp(x * (1.0 - 0.5 * q * x))
-        except OverflowError:
-            return math.inf
-    if 1.0 + q * x > 0.0:
-        # log1p keeps the exponent accurate even when 1/q is enormous
-        try:
-            return math.exp(math.log1p(q * x) / q)
-        except OverflowError:
-            return math.inf
-    if q > 0.0:
-        return 0.0
-    return math.inf
+    return _scalar_or_array(_exp_q, q, x)
 
 
-def _exp_q_array(q: float, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
+def _exp_q(q: float, x: np.ndarray) -> np.ndarray:
+    if not np.isfinite(x).all():
         raise DomainError("x must be finite")
-    if abs(q) > COUPLING_EPS:
-        return _exp_q_exact(q, q * x)
+    # past the float range the value saturates to inf (or 0)
     with np.errstate(over="ignore"):
+        if abs(q) > COUPLING_EPS:
+            return _exp_q_exact(q, q * x)
         out = np.exp(x * (1.0 - 0.5 * q * x))
-    if x.size and abs(q) * max(x.max(), -x.min()) > _SMALL_QX:
-        qx = q * x
-        far = np.abs(qx) > _SMALL_QX
-        out[far] = _exp_q_exact(q, qx[far])
+        if x.size and abs(q) * max(x.max(), -x.min()) > _SMALL_QX:
+            qx = q * x
+            far = np.abs(qx) > _SMALL_QX
+            out[far] = _exp_q_exact(q, qx[far])
     return out
 
 
@@ -153,8 +147,8 @@ def _exp_q_exact(q: float, qx: np.ndarray) -> np.ndarray:
     """(1 + qx)_+^(1/q) for q != 0 with exp_q's boundary semantics."""
     out = np.empty_like(qx)
     pos = qx > -1.0
-    with np.errstate(over="ignore"):
-        out[pos] = np.exp(np.log1p(qx[pos]) / q)
+    # log1p keeps the exponent accurate even when 1/q is enormous
+    out[pos] = np.exp(np.log1p(qx[pos]) / q)
     out[~pos] = 0.0 if q > 0.0 else np.inf
     return out
 
@@ -167,52 +161,39 @@ def exp_q_neg_power(q, beta, x, alpha=2.0):
     stays finite out to the largest float; any other coupling gives 0
     there.  Scalar or array x.
     """
-    q = coupling_value(q)
-    if not isinstance(x, float) and np.ndim(x) > 0:
-        x = np.asarray(x, dtype=float)
-        with np.errstate(over="ignore"):
-            arg = beta * (x * x if alpha == 2.0 else np.abs(x) ** alpha)
-        near = arg <= _LOG_SPACE_ARG
-        if near.all():
-            return _exp_q_array(q, -arg)
-        out = np.zeros_like(arg)
-        out[near] = _exp_q_array(q, -arg[near])
-        if q < -COUPLING_EPS:
-            far = arg > _LOG_SPACE_ARG
-            log_arg = math.log(-q * beta) + alpha * np.log(np.abs(x[far]))
-            out[far] = np.exp(log_arg / q)
-        return out
-    ax = abs(float(x))
-    try:
-        arg = beta * (ax * ax if alpha == 2.0 else ax ** alpha)
-    except OverflowError:
-        arg = math.inf
-    if arg <= _LOG_SPACE_ARG:
-        return exp_q(q, -arg)
-    if q < -COUPLING_EPS and arg > _LOG_SPACE_ARG:
-        return math.exp((math.log(-q * beta) + alpha * math.log(ax)) / q)
-    return 0.0
+    return _scalar_or_array(_exp_q_neg_power, q, x, beta, alpha)
+
+
+def _exp_q_neg_power(q: float, x: np.ndarray, beta, alpha) -> np.ndarray:
+    with np.errstate(over="ignore"):
+        arg = beta * (x * x if alpha == 2.0 else np.abs(x) ** alpha)
+    near = arg <= _LOG_SPACE_ARG
+    if near.all():
+        return _exp_q(q, -arg)
+    out = np.zeros_like(arg)
+    out[near] = _exp_q(q, -arg[near])
+    if q < -COUPLING_EPS:
+        far = arg > _LOG_SPACE_ARG
+        log_arg = math.log(-q * beta) + alpha * np.log(np.abs(x[far]))
+        out[far] = np.exp(log_arg / q)
+    return out
 
 
 def ln_q(q, x):
     """Deformed logarithm (x^q - 1)/q, the inverse of exp_q on x > 0."""
-    q = coupling_value(q)
-    if np.ndim(x) > 0:
-        x = np.asarray(x, dtype=float)
-        if not (np.all(np.isfinite(x)) and np.all(x > 0.0)):
-            raise DomainError("ln_q requires finite x > 0")
-        if abs(q) <= COUPLING_EPS:
-            lx = np.log(x)
-            return lx * (1.0 + 0.5 * q * lx)
-        return np.expm1(q * np.log(x)) / q
-    x = _finite(x, "x")
-    if x <= 0.0:
-        raise DomainError(f"ln_q requires x > 0, got {x}")
+    return _scalar_or_array(_ln_q, q, x)
+
+
+def _ln_q(q: float, x: np.ndarray) -> np.ndarray:
+    if not (np.isfinite(x).all() and (x > 0.0).all()):
+        raise DomainError("ln_q requires finite x > 0")
     if abs(q) <= COUPLING_EPS:
-        lx = math.log(x)
+        lx = np.log(x)
         return lx * (1.0 + 0.5 * q * lx)
-    # expm1 avoids the x^q - 1 cancellation for small q
-    return math.expm1(q * math.log(x)) / q
+    # expm1 avoids the x^q - 1 cancellation for small q; past the float
+    # range the value saturates to inf
+    with np.errstate(over="ignore"):
+        return np.expm1(q * np.log(x)) / q
 
 
 def q_add(q, x, y) -> float:
@@ -333,49 +314,41 @@ def sin_q(q, x):
     the combination (exp_q(ix) - exp_q(-ix))/2i is real up to rounding;
     the residual imaginary part is checked before being discarded.
     """
-    q = coupling_value(q)
-    if np.ndim(x) > 0:
-        return _sin_q_array(q, x)
-    x = _finite(x, "x")
-    s = (exp_q_complex(q, 1j * x) - exp_q_complex(q, -1j * x)) / 2j
-    if abs(s.imag) > _RESIDUAL_TOL * (1.0 + abs(s.real)):
-        raise NumericsError(f"conjugate-symmetry residual {s.imag:.3e} in sin_q")
-    return s.real
+    return _scalar_or_array(_sin_q, q, x)
 
 
-def _sin_q_array(q: float, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
+def _sin_q(q: float, x: np.ndarray) -> np.ndarray:
+    if not np.isfinite(x).all():
         raise DomainError("x must be finite")
     z = 1j * x
-    if abs(q) <= COUPLING_EPS:
-        ep = np.exp(z * (1.0 - 0.5 * q * z))
-        em = np.exp(-z * (1.0 + 0.5 * q * z))
-    else:
-        # 1 + q*i*x has real part 1, never on the branch cut
-        ep = (1.0 + q * z) ** (1.0 / q)
-        em = (1.0 - q * z) ** (1.0 / q)
-    s = (ep - em) / 2j
+    with np.errstate(over="ignore", invalid="ignore"):
+        if abs(q) <= COUPLING_EPS:
+            ep = np.exp(z * (1.0 - 0.5 * q * z))
+            em = np.exp(-z * (1.0 + 0.5 * q * z))
+        else:
+            # 1 + q*i*x has real part 1, never on the branch cut
+            ep = (1.0 + q * z) ** (1.0 / q)
+            em = (1.0 - q * z) ** (1.0 / q)
+        s = (ep - em) / 2j
+    if not np.isfinite(s).all():
+        raise NumericsError(f"sin_q at coupling {q} leaves the float range")
     bad = np.abs(s.imag) > _RESIDUAL_TOL * (1.0 + np.abs(s.real))
-    if np.any(bad):
+    if bad.any():
         raise NumericsError("conjugate-symmetry residual in sin_q")
     return s.real
 
 
 def sinc_q(q, x):
     """Deformed sinc: sin_q(x)/x with the removable singularity filled."""
-    q = coupling_value(q)
-    if np.ndim(x) > 0:
-        x = np.asarray(x, dtype=float)
-        s = _sin_q_array(q, x)
-        out = np.ones_like(s)
-        nz = x != 0.0
-        out[nz] = s[nz] / x[nz]
-        return out
-    x = _finite(x, "x")
-    if x == 0.0:
-        return 1.0
-    return sin_q(q, x) / x
+    return _scalar_or_array(_sinc_q, q, x)
+
+
+def _sinc_q(q: float, x: np.ndarray) -> np.ndarray:
+    s = _sin_q(q, x)
+    out = np.ones_like(s)
+    nz = x != 0.0
+    out[nz] = s[nz] / x[nz]
+    return out
 
 
 def dn_exp_q(q, a, n, x) -> float:

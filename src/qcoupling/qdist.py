@@ -1,12 +1,14 @@
 """Coupled (deformed-Gaussian) distributions, escort transforms, and
 generalized entropy.
 
-The central family is the generalized Gaussian
-    pdf(x) = sqrt(beta)/c_q(q) * exp_q(-beta (x - mu)^2),
-with coupling q > -2, generalized scale sigma_sq, and
-beta = 1/((2+q) sigma_sq).  For q > 0 the support is the compact
-interval |x - mu| < 1/sqrt(q beta); for -2 < q < 0 the tails decay like
-|x|^(2/q); q <= -2 cannot be normalized.
+One type, QFamily(q, alpha, a, beta, mu), is the coupled family
+    a * exp_q(-beta |x - mu|^alpha),  0 < alpha <= 2, q > -alpha,
+with its value (a scalar x gives a float), integration plan and mass.
+Its alpha = 2 members are the generalized Gaussians: QGaussian(q, mu,
+sigma_sq) builds the normalized one, beta = 1/((2+q) sigma_sq) and
+a = sqrt(beta)/c_q(q), and sigma_sq is read back from beta.  For q > 0
+the support is compact, |x - mu| < (q beta)^(-1/alpha); for q < 0 the
+tails decay like |x|^(alpha/q).  QAlphaFamily builds unnormalized members.
 
 The escort (coupled) transform raises probabilities to the power 1 - q
 and renormalizes; applied to a family member it lands back in the
@@ -58,13 +60,15 @@ def c_q(q) -> float:
     exp_q(-x^2) over the line.
 
     Three branches (poles of the Gamma pairs cancel in each):
-    q > 0 compact, q = 0 classical sqrt(pi), -2 < q < 0 heavy-tail.
+    q > 0 compact, q = 0 classical, -2 < q < 0 heavy-tail.  The classical
+    band |q| <= COUPLING_EPS integrates exp_q's continuation
+    exp(-x^2 (1 + q x^2/2)), which gives sqrt(pi) (1 - 3q/8).
     """
     q = coupling_value(q)
     if q <= -2.0:
         raise DomainError(f"not normalizable for coupling {q} <= -2")
     if abs(q) <= COUPLING_EPS:
-        return math.sqrt(math.pi)
+        return math.sqrt(math.pi) * (1.0 - 0.375 * q)
     if q > 0.0:
         return math.sqrt(math.pi / q) * math.exp(_gammaln_halfdiff(1.0 / q + 1.0))
     r = -1.0 / q
@@ -72,107 +76,121 @@ def c_q(q) -> float:
 
 
 @dataclass(frozen=True)
-class QGaussian:
-    """Generalized Gaussian with coupling q, location mu, and
-    generalized scale sigma_sq (the escort variance)."""
+class QFamily:
+    """The coupled family a * exp_q(-beta |x - mu|^alpha) with
+    0 < alpha <= 2, integrable for q > -alpha.
+
+    The alpha = 2 members are the q-Gaussians; QGaussian, QAlphaFamily
+    (and qft's QGaussianShape and QAlphaShape) build members.  Every
+    field is stored as a validated float.
+    """
 
     q: float
+    alpha: float = 2.0
+    a: float = 1.0
+    beta: float = 1.0
     mu: float = 0.0
-    sigma_sq: float = 1.0
 
     def __post_init__(self):
-        q = coupling_value(self.q)
-        if q <= -2.0:
-            raise DomainError(f"coupling {q} <= -2 is not normalizable")
-        if not (math.isfinite(self.mu) and math.isfinite(self.sigma_sq)):
-            raise DomainError("mu and sigma_sq must be finite")
-        if self.sigma_sq <= 0.0:
-            raise DomainError("sigma_sq must be positive")
-
-    @property
-    def beta(self) -> float:
-        return 1.0 / ((2.0 + self.q) * self.sigma_sq)
+        object.__setattr__(self, "q", coupling_value(self.q))
+        for name in ("alpha", "beta", "a", "mu"):
+            value = float(getattr(self, name))
+            if not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value!r}")
+            object.__setattr__(self, name, value)
+        if not 0.0 < self.alpha <= 2.0:
+            raise DomainError(f"alpha must be in (0, 2], got {self.alpha}")
+        if self.q <= -self.alpha:
+            raise DomainError(
+                f"coupling {self.q} <= -alpha = {-self.alpha} is not integrable")
+        if self.beta <= 0.0:
+            raise DomainError("beta must be positive")
+        if self.a <= 0.0:
+            raise DomainError("amplitude a must be positive")
 
     @property
     def amplitude(self) -> float:
-        return math.sqrt(self.beta) / c_q(self.q)
+        return self.a
+
+    @property
+    def sigma_sq(self) -> float:
+        """Generalized scale of a q-Gaussian member, 1/((2+q) beta)."""
+        return 1.0 / ((2.0 + self.q) * self.beta)
+
+    def value(self, x):
+        """a * exp_q(-beta |x - mu|^alpha); a scalar x gives a float."""
+        u = np.asarray(x, dtype=float) - self.mu
+        return self.a * exp_q_neg_power(self.q, self.beta, u, self.alpha)
+
+    def plan(self):
+        """Layout (core halfwidth, tail_power, points) of line_quad for the
+        member centred at 0; a compact support is the core."""
+        q, beta, alpha = self.q, self.beta, self.alpha
+        if q > COUPLING_EPS:
+            return (1.0 / (q * beta)) ** (1.0 / alpha), None, [0.0]
+        edge = (45.0 / beta) ** (1.0 / alpha)
+        if abs(q) <= COUPLING_EPS:
+            return edge, None, None
+        core = max(100.0 / (-q * beta), 100.0 / beta) ** (1.0 / alpha)
+        # breakpoints keep the adaptive rule from overlooking a central bump
+        # that is narrow relative to the heavy-tail core
+        return core, alpha / q, [-edge, 0.0, edge]
+
+    def mass(self) -> float:
+        """Numeric integral of value over the line."""
+        val, _ = line_quad(lambda u: self.value(u + self.mu), *self.plan())
+        return val
 
 
-def qgaussian_pdf(dist: QGaussian, x):
-    """Density of a QGaussian at x (scalar or array)."""
-    u = np.asarray(x, dtype=float) - dist.mu if np.ndim(x) > 0 else float(x) - dist.mu
-    return dist.amplitude * exp_q_neg_power(dist.q, dist.beta, u)
+def QGaussian(q, mu=0.0, sigma_sq=1.0) -> QFamily:
+    """Normalized q-Gaussian with location mu and generalized scale
+    sigma_sq (the escort variance): beta = 1/((2+q) sigma_sq) and
+    amplitude sqrt(beta)/c_q(q)."""
+    q = coupling_value(q)
+    c = c_q(q)
+    if not sigma_sq > 0.0:
+        raise DomainError(f"sigma_sq must be positive, got {sigma_sq!r}")
+    beta = 1.0 / ((2.0 + q) * sigma_sq)
+    return QFamily(q, 2.0, math.sqrt(beta) / c, beta, mu)
 
 
-def support_bounds(dist: QGaussian) -> tuple[float, float]:
-    """Support interval; the whole line unless q > 0."""
+def QAlphaFamily(q, alpha, a=1.0, beta=1.0) -> QFamily:
+    """Unnormalized member a * exp_q(-beta |x|^alpha), 0 < alpha <= 2."""
+    return QFamily(q, alpha, a, beta)
+
+
+def _require_gaussian(dist: QFamily):
+    if dist.alpha != 2.0:
+        raise DomainError(f"needs a q-Gaussian (alpha = 2), got alpha = {dist.alpha}")
+
+
+def qgaussian_pdf(dist: QFamily, x):
+    """Density of a family member at x; a scalar x gives a float."""
+    return dist.value(x)
+
+
+def support_bounds(dist: QFamily) -> tuple[float, float]:
+    """Support interval of a q-Gaussian; the whole line unless q > 0."""
+    _require_gaussian(dist)
     if dist.q > COUPLING_EPS:
         half = 1.0 / math.sqrt(dist.q * dist.beta)
         return dist.mu - half, dist.mu + half
     return -math.inf, math.inf
 
 
-def integration_plan(q: float, beta: float, alpha: float = 2.0):
-    """Layout (core halfwidth, tail_power, points) of line_quad for
-    exp_q(-beta |x|^alpha) centred at 0; a compact support is the core."""
-    if q > COUPLING_EPS:
-        return (1.0 / (q * beta)) ** (1.0 / alpha), None, [0.0]
-    edge = (45.0 / beta) ** (1.0 / alpha)
-    if abs(q) <= COUPLING_EPS:
-        return edge, None, None
-    core = max(100.0 / (-q * beta), 100.0 / beta) ** (1.0 / alpha)
-    # breakpoints keep the adaptive rule from overlooking a central bump
-    # that is narrow relative to the heavy-tail core
-    return core, alpha / q, [-edge, 0.0, edge]
-
-
-def qgaussian_mass(dist: QGaussian) -> float:
+def qgaussian_mass(dist: QFamily) -> float:
     """Numeric integral of the pdf (should be 1); used as a self-check."""
-    core, tail_power, points = integration_plan(dist.q, dist.beta)
-    centred = lambda u: qgaussian_pdf(dist, u + dist.mu)
-    val, _ = line_quad(centred, core, tail_power, points)
-    return val
+    return dist.mass()
 
 
-@dataclass(frozen=True)
-class QAlphaFamily:
-    """Unnormalized generalized exponential family
-    a * exp_q(-beta |x|^alpha) with 0 < alpha <= 2."""
-
-    q: float
-    alpha: float
-    a: float = 1.0
-    beta: float = 1.0
-
-    def __post_init__(self):
-        coupling_value(self.q)
-        if not 0.0 < self.alpha <= 2.0:
-            raise DomainError(f"alpha must be in (0, 2], got {self.alpha}")
-        if not (self.a > 0.0 and math.isfinite(self.a)):
-            raise DomainError("amplitude a must be positive and finite")
-        if not (self.beta > 0.0 and math.isfinite(self.beta)):
-            raise DomainError("beta must be positive and finite")
+# the unnormalized family shares the density and the mass
+q_alpha_pdf = qgaussian_pdf
+q_alpha_mass = qgaussian_mass
 
 
-def q_alpha_pdf(fam: QAlphaFamily, x):
-    """Unnormalized density a * exp_q(-beta |x|^alpha)."""
-    return fam.a * exp_q_neg_power(fam.q, fam.beta, x, fam.alpha)
-
-
-def q_alpha_mass(fam: QAlphaFamily) -> float:
-    """Numeric mass of the family; DomainError when divergent."""
-    if fam.q <= -fam.alpha:
-        raise DomainError(
-            f"mass diverges for coupling {fam.q} <= -alpha = {-fam.alpha}"
-        )
-    core, tail_power, points = integration_plan(fam.q, fam.beta, fam.alpha)
-    val, _ = line_quad(lambda x: q_alpha_pdf(fam, x), core, tail_power, points)
-    return val
-
-
-def q_alpha_normalize(fam: QAlphaFamily) -> QAlphaFamily:
+def q_alpha_normalize(fam: QFamily) -> QFamily:
     """Rescale the amplitude so the family integrates to 1."""
-    return replace(fam, a=fam.a / q_alpha_mass(fam))
+    return replace(fam, a=fam.a / fam.mass())
 
 
 @dataclass(frozen=True, eq=False)
@@ -290,7 +308,7 @@ def q_moments(grid: DensityGrid, q) -> tuple[float, float]:
 class StudentTMap(NamedTuple):
     """Student-t with nu dof as a family member, plus the dual coupling."""
 
-    dist: QGaussian
+    dist: QFamily
     q_hat: float
 
 
@@ -321,7 +339,7 @@ def kappa_shift(kappa, n: int) -> float:
     return coupling_value(kappa) + int(n) / 2.0
 
 
-def conjugate_pair(dist: QGaussian, mode: str = PRESERVE_VARIANCE) -> QGaussian:
+def conjugate_pair(dist: QFamily, mode: str = PRESERVE_VARIANCE) -> QFamily:
     """Map a family member to its hat-conjugate partner.
 
     The conjugate coupling is conj_hat(q); the scale of the partner is a
@@ -335,6 +353,7 @@ def conjugate_pair(dist: QGaussian, mode: str = PRESERVE_VARIANCE) -> QGaussian:
     All three are involutions up to rounding.  The q = 0 member is the
     fixed point.
     """
+    _require_gaussian(dist)
     if abs(dist.q) <= COUPLING_EPS:
         return dist
     qh = conj_hat(dist.q)
@@ -373,7 +392,7 @@ def check_seed(seed):
             f"seed must be None or a non-negative integer, got {seed!r}")
 
 
-def sample_qgaussian(dist: QGaussian, n: int, seed=None) -> np.ndarray:
+def sample_qgaussian(dist: QFamily, n: int, seed=None) -> np.ndarray:
     """Draw n samples; deterministic for a given seed.
 
     q < 0 uses the scaled Student-t construction (normal over the square
@@ -385,6 +404,7 @@ def sample_qgaussian(dist: QGaussian, n: int, seed=None) -> np.ndarray:
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise DomainError(f"sample count must be a positive integer, got {n!r}")
     check_seed(seed)
+    _require_gaussian(dist)
     n = int(n)
     rng = np.random.default_rng(seed)
     q, mu, scale = dist.q, dist.mu, math.sqrt(dist.sigma_sq)

@@ -10,11 +10,15 @@ tails for heavy-tailed families).  For q > 0 that route is unavailable:
 the family's coupling is conjugated into the heavy-tail domain, the
 transform is evaluated there, and the result's parameters are mapped
 back.  The back-mapping needs an explicit output parameterization, so
-for q > 0 only inputs carrying a coupling parameter are accepted (and
-the family coupling must equal the transform coupling).
+for q > 0 only q-Gaussians (alpha = 2) at the transform coupling are
+accepted.
 
-Closed forms for coupled-Gaussian and uniform inputs are implemented
-separately from the numeric route so that each can check the other.
+Family inputs are qdist.QFamily members a * exp_q(-beta |x|^alpha)
+centred at 0: QGaussianShape(q, a, beta) builds the alpha = 2 member,
+QAlphaShape(q, alpha, a, beta) any other.  Closed forms for
+coupled-Gaussian and uniform inputs are implemented separately from the
+numeric route so that each can check the other; a scalar frequency
+gives a float back.
 The uniform closed form holds verbatim for every admissible coupling
 because the integrand has an elementary antiderivative whose branch
 argument never crosses the negative real axis for real x.
@@ -23,14 +27,14 @@ argument never crosses the negative real axis for real x.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ._quadrature import cosine_quad, line_quad
 from .errors import DomainError, PoleError, UnsupportedInputError
-from .qcore import COUPLING_EPS, coupling_value, exp_q, exp_q_neg_power, ln_q, sinc_q
-from .qdist import DensityGrid, c_q, integration_plan
+from .qcore import COUPLING_EPS, coupling_value, exp_q, ln_q, sinc_q
+from .qdist import DensityGrid, QAlphaFamily, QFamily, c_q
 from .qseq import conj_tilde, z_n
 
 _MATCH_TOL = 1e-9
@@ -39,49 +43,13 @@ _MATCH_TOL = 1e-9
 _GRID_BLOCK = 16
 
 
-@dataclass(frozen=True)
-class QGaussianShape:
-    """Transform input a * exp_q(-beta x^2)."""
-
-    q: float
-    a: float = 1.0
-    beta: float = 1.0
-
-    def __post_init__(self):
-        q = coupling_value(self.q)
-        if q <= -2.0:
-            raise DomainError(f"coupling {q} <= -2 is not integrable")
-        if not (self.a > 0.0 and math.isfinite(self.a)):
-            raise DomainError("amplitude a must be positive and finite")
-        if not (self.beta > 0.0 and math.isfinite(self.beta)):
-            raise DomainError("beta must be positive and finite")
-
-    def value(self, x):
-        return self.a * exp_q_neg_power(self.q, self.beta, x)
+def QGaussianShape(q, a=1.0, beta=1.0) -> QFamily:
+    """Transform input a * exp_q(-beta x^2), the alpha = 2 member."""
+    return QFamily(q, 2.0, a, beta)
 
 
-@dataclass(frozen=True)
-class QAlphaShape:
-    """Transform input a * exp_q(-beta |x|^alpha), 0 < alpha <= 2."""
-
-    q: float
-    alpha: float
-    a: float = 1.0
-    beta: float = 1.0
-
-    def __post_init__(self):
-        q = coupling_value(self.q)
-        if not 0.0 < self.alpha <= 2.0:
-            raise DomainError(f"alpha must be in (0, 2], got {self.alpha}")
-        if q <= -self.alpha:
-            raise DomainError(f"coupling {q} <= -alpha = {-self.alpha} is not integrable")
-        if not (self.a > 0.0 and math.isfinite(self.a)):
-            raise DomainError("amplitude a must be positive and finite")
-        if not (self.beta > 0.0 and math.isfinite(self.beta)):
-            raise DomainError("beta must be positive and finite")
-
-    def value(self, x):
-        return self.a * exp_q_neg_power(self.q, self.beta, x, self.alpha)
+# transform input a * exp_q(-beta |x|^alpha), 0 < alpha <= 2
+QAlphaShape = QAlphaFamily
 
 
 @dataclass(frozen=True)
@@ -135,7 +103,7 @@ class ClosedFormQGaussian:
         return self.q_out <= -2.0
 
     def evaluate(self, ws):
-        w = np.asarray(ws, dtype=float) if np.ndim(ws) > 0 else float(ws)
+        w = np.asarray(ws, dtype=float)
         return self.amplitude * exp_q(self.q_out, -self.width * w * w)
 
     def to_result(self, ws) -> TransformResult:
@@ -152,14 +120,10 @@ def _checked_ws(ws) -> np.ndarray:
     return arr
 
 
-def _line_plan(shape):
-    return integration_plan(shape.q, shape.beta, getattr(shape, "alpha", 2.0))
-
-
 def _direct_numeric(shape, q: float, ws: np.ndarray):
     """Literal quadrature of f exp_q(i x w f^-q) for a kernel q < 0, over
     all frequencies in one adaptive pass."""
-    core, tail_power, points = _line_plan(shape)
+    core, tail_power, points = shape.plan()
     value = shape.value
 
     def ig(x):
@@ -181,7 +145,7 @@ def _classical_numeric(shape, ws: np.ndarray):
     double-exponential Fourier-cosine rule over [0, inf) at every
     nonzero frequency at once; everything else decays fast enough for
     one pass over the core."""
-    core, tail_power, points = _line_plan(shape)
+    core, tail_power, points = shape.plan()
     value = shape.value
     if tail_power is None:
         ig = lambda x: _polar(value(x)[:, None], np.outer(x, ws))
@@ -251,31 +215,31 @@ def _grid_numeric(grid: DensityGrid, q: float, ws: np.ndarray):
     return vals, errs
 
 
-def _gaussian_hat_numeric(shape: QGaussianShape, q: float, ws: np.ndarray):
+def _gaussian_hat_numeric(shape: QFamily, q: float, ws: np.ndarray):
     """q > 0 route: transform the conjugated heavy-tail member, then map
     the resulting family parameters back to the compact-support side."""
+    if shape.alpha != 2.0:
+        raise UnsupportedInputError(
+            "for q > 0 the transformed family must have a known output "
+            "parameterization; only alpha == 2 is supported"
+        )
     if abs(shape.q - q) > _MATCH_TOL:
         raise UnsupportedInputError(
             "the q > 0 route conjugates the family coupling, so the family "
             f"coupling {shape.q} must equal the transform coupling {q}"
         )
-    a, beta = shape.a, shape.beta
     qh = -2.0 * q / (2.0 + q)
-    hat = QGaussianShape(qh, a, beta)
-    hat_vals, hat_err = _direct_numeric(hat, qh, ws)
-
-    amp_hat = a * c_q(qh) / math.sqrt(beta)
-    amp = a * c_q(q) / math.sqrt(beta)
-    width_hat = (2.0 + qh) / (8.0 * beta * a ** (2.0 * qh))
-    width = (2.0 + q) / (8.0 * beta * a ** (2.0 * q))
-    q1_hat = z_n(qh, 1)
-    q1 = z_n(q, 1)
-    scale = width / width_hat
+    hat_vals, hat_err = _direct_numeric(replace(shape, q=qh), qh, ws)
+    # both members' closed-form parameters carry the values across
+    form = qft_qgaussian_closed(shape.a, shape.beta, q)
+    hat = qft_qgaussian_closed(shape.a, shape.beta, qh)
+    scale = form.width / hat.width
 
     def back(v: np.ndarray) -> np.ndarray:
         out = np.zeros_like(v)
         pos = v > 0.0
-        out[pos] = amp * exp_q(q1, scale * ln_q(q1_hat, v[pos] / amp_hat))
+        out[pos] = form.amplitude * exp_q(
+            form.q_out, scale * ln_q(hat.q_out, v[pos] / hat.amplitude))
         return out
 
     err_in = hat_err + np.abs(hat_vals.imag)
@@ -288,43 +252,31 @@ def _gaussian_hat_numeric(shape: QGaussianShape, q: float, ws: np.ndarray):
 def qft_numeric(f, q, ws) -> TransformResult:
     """Deformed Fourier transform of f at coupling q on the grid ws.
 
-    f is a QGaussianShape, QAlphaShape, UniformShape, or DensityGrid.
-    For q > 0 only parameterized families at their own coupling are
-    accepted (alpha families only with alpha == 2)."""
+    f is a QFamily centred at mu = 0 (QGaussianShape, QAlphaShape), a
+    UniformShape, or a DensityGrid.  For q > 0 only alpha = 2 members at
+    their own coupling are accepted."""
     q = coupling_value(q)
     if q <= -2.0:
         raise DomainError(f"transform coupling {q} <= -2 is outside the domain")
     ws_arr = _checked_ws(ws)
-    if isinstance(f, QAlphaShape) and f.alpha == 2.0:
-        f = QGaussianShape(f.q, f.a, f.beta)
 
     if isinstance(f, UniformShape):
         vals, errs = _uniform_numeric(q, ws_arr)
         q_out = z_n(q, 2) if abs(1.0 + q) > 1e-12 else None
-    elif isinstance(f, QGaussianShape):
+    elif isinstance(f, QFamily):
+        if f.mu != 0.0:
+            raise UnsupportedInputError(
+                f"the transform takes families centred at 0, got mu = {f.mu}")
         if q > COUPLING_EPS:
             vals, errs = _gaussian_hat_numeric(f, q, ws_arr)
-            q_out = z_n(q, 1)
-        else:
-            if abs(q) <= COUPLING_EPS:
-                vals, errs = _classical_numeric(f, ws_arr)
-            else:
-                vals, errs = _direct_numeric(f, q, ws_arr)
-            matched = abs(f.q - q) <= _MATCH_TOL or (
-                abs(q) <= COUPLING_EPS and abs(f.q) <= COUPLING_EPS
-            )
-            q_out = z_n(q, 1) if matched else None
-    elif isinstance(f, QAlphaShape):
-        if q > COUPLING_EPS:
-            raise UnsupportedInputError(
-                "for q > 0 the transformed family must have a known output "
-                "parameterization; only alpha == 2 is supported"
-            )
-        if abs(q) <= COUPLING_EPS:
+        elif abs(q) <= COUPLING_EPS:
             vals, errs = _classical_numeric(f, ws_arr)
         else:
             vals, errs = _direct_numeric(f, q, ws_arr)
-        q_out = None
+        matched = abs(f.q - q) <= _MATCH_TOL or (
+            abs(q) <= COUPLING_EPS and abs(f.q) <= COUPLING_EPS
+        )
+        q_out = z_n(q, 1) if f.alpha == 2.0 and matched else None
     elif isinstance(f, DensityGrid):
         if q > COUPLING_EPS:
             raise UnsupportedInputError(
@@ -346,16 +298,10 @@ def qft_qgaussian_closed(a, beta, q) -> ClosedFormQGaussian:
     """Closed-form transform of a * exp_q(-beta x^2):
     amplitude a*c_q/sqrt(beta), width (2+q)/(8 beta a^(2q)), output
     coupling z_1(q)."""
-    q = coupling_value(q)
-    if q <= -2.0:
-        raise DomainError(f"coupling {q} <= -2 is outside the domain")
-    if not (a > 0.0 and math.isfinite(a)):
-        raise DomainError("amplitude a must be positive and finite")
-    if not (beta > 0.0 and math.isfinite(beta)):
-        raise DomainError("beta must be positive and finite")
-    amp = a * c_q(q) / math.sqrt(beta)
-    width = (2.0 + q) / (8.0 * beta * a ** (2.0 * q))
-    return ClosedFormQGaussian(amp, width, z_n(q, 1))
+    f = QGaussianShape(q, a, beta)
+    amp = f.a * c_q(f.q) / math.sqrt(f.beta)
+    width = (2.0 + f.q) / (8.0 * f.beta * f.a ** (2.0 * f.q))
+    return ClosedFormQGaussian(amp, width, z_n(f.q, 1))
 
 
 def qft_uniform_closed(q, w):
@@ -367,8 +313,7 @@ def qft_uniform_closed(q, w):
     if abs(1.0 + q) <= 1e-12:
         raise PoleError("uniform closed form has a pole at coupling -1")
     arg_scale = (1.0 + q) * 2.0 ** q
-    w_in = np.asarray(w, dtype=float) if np.ndim(w) > 0 else float(w)
-    return sinc_q(z_n(q, 2), arg_scale * w_in)
+    return sinc_q(z_n(q, 2), arg_scale * np.asarray(w, dtype=float))
 
 
 def cqft_numeric(f, q, ws) -> TransformResult:
@@ -381,10 +326,8 @@ def cqft_numeric(f, q, ws) -> TransformResult:
             f"conjugate coupling {qt} <= -2: input coupling {q} is in the "
             "excluded band (-2, -1)"
         )
-    if isinstance(f, QGaussianShape):
-        f = QGaussianShape(qt, f.a, f.beta) if abs(f.q - q) <= _MATCH_TOL else f
-    elif isinstance(f, QAlphaShape):
-        f = QAlphaShape(qt, f.alpha, f.a, f.beta) if abs(f.q - q) <= _MATCH_TOL else f
+    if isinstance(f, QFamily) and abs(f.q - q) <= _MATCH_TOL:
+        f = replace(f, q=qt)
     return qft_numeric(f, qt, ws)
 
 
@@ -409,5 +352,4 @@ def cqft_uniform_closed(q, w):
         raise PoleError("conjugate uniform closed form has a pole at coupling -1")
     q2 = z_n(q, 2)
     arg_scale = (1.0 - q2) * 2.0 ** (-q2)
-    w_in = np.asarray(w, dtype=float) if np.ndim(w) > 0 else float(w)
-    return sinc_q(-q, arg_scale * w_in)
+    return sinc_q(-q, arg_scale * np.asarray(w, dtype=float))

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from qcoupling import qcore
 from qcoupling.errors import (
     BranchCutError,
+    CouplingError,
     DomainError,
     NumericsError,
     PoleError,
@@ -407,3 +408,68 @@ class TestCoupling:
 
     def test_functions_accept_coupling(self):
         assert exp_q(Coupling(1.0), 3.0) == pytest.approx(4.0)
+
+
+def _same_bits(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+def _assert_scalar_parity(f, x):
+    """f(x) is a Python float bitwise equal to f([x])[0], or both calls
+    raise the same error."""
+    try:
+        scalar = f(x)
+    except CouplingError as exc:
+        with pytest.raises(type(exc)):
+            f(np.array([x]))
+        return
+    assert type(scalar) is float
+    assert _same_bits(scalar, f(np.array([x]))[0])
+
+
+# every coupling regime, with extra weight on both edges of the
+# classical band |q| <= COUPLING_EPS
+parity_couplings = st.one_of(
+    st.floats(min_value=-1.99, max_value=3.0),
+    st.floats(min_value=-2e-10, max_value=2e-10),
+)
+
+
+@st.composite
+def coupling_and_argument(draw):
+    q = draw(parity_couplings)
+    kind = draw(st.sampled_from(["moderate", "switch", "any"]))
+    if kind == "switch" and q != 0.0:
+        # |q x| near the switch between the continuation and the exact form
+        scale = draw(st.floats(min_value=0.5, max_value=2.0))
+        return q, draw(st.sampled_from([1.0, -1.0])) * scale * qcore._SMALL_QX / q
+    if kind == "any":
+        return q, draw(st.floats(allow_nan=False, allow_infinity=False))
+    return q, draw(st.floats(min_value=-50.0, max_value=50.0))
+
+
+class TestScalarArrayParity:
+    @pytest.mark.parametrize("kernel", [exp_q, ln_q, sin_q, sinc_q])
+    @given(qx=coupling_and_argument())
+    @settings(max_examples=300)
+    def test_scalar_is_float_equal_to_array(self, kernel, qx):
+        q, x = qx
+        if kernel is ln_q:
+            x = abs(x)
+        _assert_scalar_parity(lambda v: kernel(q, v), x)
+
+    @given(
+        q=parity_couplings,
+        beta=st.floats(min_value=1e-3, max_value=1e3),
+        alpha=st.one_of(st.just(2.0), st.floats(min_value=1.0, max_value=2.0)),
+        near_switch=st.booleans(),
+        x=st.floats(min_value=-1e3, max_value=1e3),
+        rel=st.floats(min_value=-1e-9, max_value=1e-9),
+    )
+    @settings(max_examples=300)
+    def test_neg_power_scalar_is_float_equal_to_array(
+            self, q, beta, alpha, near_switch, x, rel):
+        if near_switch:
+            # beta |x|^alpha near the switch to log space at 1e300
+            x = (qcore._LOG_SPACE_ARG / beta) ** (1.0 / alpha) * (1.0 + rel)
+        _assert_scalar_parity(lambda v: exp_q_neg_power(q, beta, v, alpha), x)

@@ -15,7 +15,7 @@ from scipy.integrate import quad
 from scipy.stats import norm, t as student_t
 
 from qcoupling.errors import DomainError, NumericsError
-from qcoupling.qcore import exp_q
+from qcoupling.qcore import Coupling, exp_q
 from qcoupling.qdist import (
     PRESERVE_BETA,
     PRESERVE_NORMALIZATION,
@@ -92,6 +92,15 @@ class TestNormalizationConstant:
                     want = mp.sqrt(mp.pi * r) * mp.gamma(r - 0.5) / mp.gamma(r)
                 assert abs(c_q(q) - want) <= 1e-12 * want
 
+    def test_small_coupling_band_keeps_first_order(self):
+        # exp_q's continuation exp(-x^2 (1 + q x^2/2)) integrates to
+        # sqrt(pi) (1 - 3q/8): no jump at the band edges, unit mass inside
+        for q in (1e-10, -1e-10):
+            inside, outside = c_q(q), c_q(q * (1.0 + 1e-7))
+            assert abs(outside - inside) <= 1e-14 * inside
+        for q in (9.1e-11, -9.1e-11):
+            assert qgaussian_mass(QGaussian(q)) == pytest.approx(1.0, abs=1e-14)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             c_q(-2.0)
@@ -161,6 +170,32 @@ class TestQGaussian:
         ys = qgaussian_pdf(d, xs)
         slope = (math.log(ys[1]) - math.log(ys[0])) / (math.log(xs[1]) - math.log(xs[0]))
         assert slope == pytest.approx(2.0 / q, rel=0.01)
+
+
+class TestQFamily:
+    def test_stores_coupling_as_float(self):
+        for fam in (QGaussian(Coupling(-0.5)), QAlphaFamily(Coupling(-0.5), 1.5)):
+            assert type(fam.q) is float and fam.q == -0.5
+        assert qgaussian_pdf(QGaussian(Coupling(-0.5)), 0.3) == qgaussian_pdf(
+            QGaussian(-0.5), 0.3)
+
+    @pytest.mark.parametrize("sigma_sq", [1e-320, 1e308])
+    def test_degenerate_scale(self, sigma_sq):
+        # beta = 1/((2+q) sigma_sq) overflows to inf or underflows to 0
+        with pytest.raises(DomainError, match="beta"):
+            QGaussian(0.5, 0.0, sigma_sq)
+
+    def test_sampler_rejects_alpha_family(self):
+        with pytest.raises(DomainError, match="alpha"):
+            sample_qgaussian(QAlphaFamily(-0.5, 1.0), 3, 1)
+
+    def test_conjugate_pair_rejects_alpha_family(self):
+        with pytest.raises(DomainError, match="alpha"):
+            conjugate_pair(QAlphaFamily(-0.5, 1.0))
+
+    def test_support_bounds_rejects_alpha_family(self):
+        with pytest.raises(DomainError, match="alpha"):
+            support_bounds(QAlphaFamily(0.5, 1.0))
 
 
 class TestQAlphaFamily:

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from qcoupling.errors import DomainError, PoleError, UnsupportedInputError
+from qcoupling.qcore import Coupling
 from qcoupling.qdist import DensityGrid, QGaussian, c_q, q_alpha_mass, qgaussian_pdf
 from qcoupling.qft import (
     ClosedFormQGaussian,
@@ -164,6 +165,27 @@ class TestNumericGaussian:
     def test_compact_family_coupling_must_match(self):
         with pytest.raises(UnsupportedInputError):
             qft_numeric(QGaussianShape(0.5), 1.0, [0.0])
+
+    def test_coupling_object_as_family_coupling(self):
+        res = qft_numeric(QGaussianShape(Coupling(-0.5)), -0.5, [1.0])
+        want = qft_numeric(QGaussianShape(-0.5), -0.5, [1.0])
+        assert res.values[0] == want.values[0]
+
+    def test_rejects_uncentred_family(self):
+        with pytest.raises(UnsupportedInputError, match="mu"):
+            qft_numeric(QGaussian(-0.5, 0.3, 1.0), -0.5, [1.0])
+
+    def test_conjugate_rejects_uncentred_family(self):
+        with pytest.raises(UnsupportedInputError, match="mu"):
+            cqft_numeric(QGaussian(0.5, 0.3, 1.0), 0.5, [1.0])
+
+    def test_small_coupling_zero_frequency_within_bound(self):
+        # inside |q| <= COUPLING_EPS the closed form's c_q keeps exp_q's
+        # first order in q, which the quadrature of the kernel sees
+        q, a, beta = -9.1e-11, 0.373, 1.562
+        res = qft_numeric(QGaussianShape(q, a, beta), q, [0.0])
+        closed = qft_qgaussian_closed(a, beta, q).evaluate(0.0)
+        assert abs(res.values[0] - closed) <= res.errors[0]
 
     def test_ws_validation(self):
         with pytest.raises(DomainError):
