@@ -10,8 +10,12 @@ Branch conventions used throughout the package:
 
 * |q| <= COUPLING_EPS evaluates the q -> 0 limit through a second-order
   continuation, exp(x*(1 - q*x/2)), so the limit is smooth rather than a
-  hard switch to exp(x).  The continuation holds only while |q*x| is
-  small; past that the exact form (1 + q*x)^(1/q) is used.
+  hard switch to exp(x).  For real x the continuation holds only while
+  |q*x| is small; past that the exact form (1 + q*x)^(1/q) is used.
+* exp_q_imag is the one array evaluation of exp_q at an imaginary
+  argument, in real arithmetic; sin_q, sinc_q and the transform kernel
+  of qft are built on it.  The scalar exp_q_complex takes any complex
+  argument and raises on its branch cut.
 * A nonpositive base (1 + q*x <= 0) clamps to 0 when q > 0 (compact
   support) and maps to +inf when q < 0 (the divergent end of a heavy
   tail).  These are the only two ways the base can leave (0, inf).
@@ -41,10 +45,6 @@ _LOG_SPACE_ARG = 1e300
 
 # Tolerance for "exactly at a pole" checks on denominators like 1 - n*q.
 _POLE_EPS = 1e-14
-
-# Conjugate-symmetry residual allowed when extracting sin_q from complex
-# exponentials (scaled by 1 + |result|).
-_RESIDUAL_TOL = 1e-12
 
 HEAVY_TAIL = "heavy-tail"
 ZERO = "zero"
@@ -159,12 +159,16 @@ def exp_q_neg_power(q, beta, x, alpha=2.0):
     Where beta |x|^alpha passes 1e300 a heavy tail (q < 0) is the pure
     power (-q beta |x|^alpha)^(1/q), evaluated in log space so that it
     stays finite out to the largest float; any other coupling gives 0
-    there.  Scalar or array x.
+    there.  x = +-inf gives that limit, 0, because quadrature rules may
+    place nodes past the float range; NaN raises DomainError.  Scalar or
+    array x.
     """
     return _scalar_or_array(_exp_q_neg_power, q, x, beta, alpha)
 
 
 def _exp_q_neg_power(q: float, x: np.ndarray, beta, alpha) -> np.ndarray:
+    if np.isnan(x).any():
+        raise DomainError("x must not be NaN")
     with np.errstate(over="ignore"):
         arg = beta * (x * x if alpha == 2.0 else np.abs(x) ** alpha)
     near = arg <= _LOG_SPACE_ARG
@@ -307,12 +311,39 @@ def exp_q_complex(q, z) -> complex:
     return out
 
 
-def sin_q(q, x):
-    """Deformed sine from the odd part of exp_q(i*x).
+def exp_q_imag(q, y, scale=1.0):
+    """scale * exp_q(i*y) for real finite y, in real arithmetic.
 
-    The two complex exponentials are conjugate off the branch cut, so
-    the combination (exp_q(ix) - exp_q(-ix))/2i is real up to rounding;
-    the residual imaginary part is checked before being discarded.
+    The base 1 + i*q*y has modulus sqrt(1 + (q*y)^2) and angle
+    arctan(q*y), and never touches the branch cut, so exp_q(i*y) is
+    (1 + (q*y)^2)^(1/2q) exp(i arctan(q*y)/q), and exp_q(-i*y) is its
+    conjugate.  The band |q| <= COUPLING_EPS uses the continuation
+    exp(i*y*(1 - i*q*y/2)) = exp(q*y^2/2) exp(i*y), which keeps the first
+    order in q.  scale broadcasts against y; the result is a complex
+    array of y's shape.
+    """
+    q = coupling_value(q)
+    y = np.asarray(y, dtype=float)
+    # past the float range the modulus saturates to inf (or 0)
+    with np.errstate(over="ignore"):
+        if abs(q) <= COUPLING_EPS:
+            modulus, angle = np.exp(0.5 * q * y * y), y
+        else:
+            t = q * y
+            modulus = np.exp(np.log1p(t * t) / (2.0 * q))
+            angle = np.arctan(t) / q
+        r = scale * modulus
+    out = np.empty(y.shape, dtype=complex)
+    out.real = r * np.cos(angle)
+    out.imag = r * np.sin(angle)
+    return out
+
+
+def sin_q(q, x):
+    """Deformed sine, the imaginary part of exp_q(i*x).
+
+    exp_q(-i*x) is the conjugate of exp_q(i*x), so the odd part
+    (exp_q(ix) - exp_q(-ix))/2i is exactly that imaginary part.
     """
     return _scalar_or_array(_sin_q, q, x)
 
@@ -320,22 +351,10 @@ def sin_q(q, x):
 def _sin_q(q: float, x: np.ndarray) -> np.ndarray:
     if not np.isfinite(x).all():
         raise DomainError("x must be finite")
-    z = 1j * x
-    with np.errstate(over="ignore", invalid="ignore"):
-        if abs(q) <= COUPLING_EPS:
-            ep = np.exp(z * (1.0 - 0.5 * q * z))
-            em = np.exp(-z * (1.0 + 0.5 * q * z))
-        else:
-            # 1 + q*i*x has real part 1, never on the branch cut
-            ep = (1.0 + q * z) ** (1.0 / q)
-            em = (1.0 - q * z) ** (1.0 / q)
-        s = (ep - em) / 2j
+    s = exp_q_imag(q, x).imag
     if not np.isfinite(s).all():
         raise NumericsError(f"sin_q at coupling {q} leaves the float range")
-    bad = np.abs(s.imag) > _RESIDUAL_TOL * (1.0 + np.abs(s.real))
-    if bad.any():
-        raise NumericsError("conjugate-symmetry residual in sin_q")
-    return s.real
+    return s
 
 
 def sinc_q(q, x):

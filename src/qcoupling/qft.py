@@ -4,14 +4,19 @@ The transform of a nonnegative integrable f at coupling q is
 
     F_q[f](w) = integral of f(x) * exp_q(i x w f(x)^(-q)) dx.
 
-For q <= 0 the integrand's modulus is bounded by f, so the transform is
-computed by direct adaptive quadrature (with exact power-substituted
-tails for heavy-tailed families).  For q > 0 that route is unavailable:
-the family's coupling is conjugated into the heavy-tail domain, the
-transform is evaluated there, and the result's parameters are mapped
-back.  The back-mapping needs an explicit output parameterization, so
-for q > 0 only q-Gaussians (alpha = 2) at the transform coupling are
-accepted.
+One kernel, v exp_q(i x w v^-q) for the density value v at x, evaluated
+by qcore.exp_q_imag, serves two routes: adaptive quadrature over a
+family's (or the uniform density's) plan, with exact power-substituted
+tails for heavy-tailed families, and the trapezoid rule over a grid.
+Inside the classical band |q| <= COUPLING_EPS the kernel keeps the first
+order in q, as the closed forms do.  For q <= 0 the kernel's modulus is
+bounded by f.  For q > 0 it is not: the family's coupling is conjugated
+into the heavy-tail domain, the transform is evaluated there, and the
+result's parameters are mapped back.  The back-mapping needs an explicit
+output parameterization, so for q > 0 only q-Gaussians (alpha = 2) at
+the transform coupling are accepted.  A power-tailed family at a kernel
+coupling in the classical band oscillates without damping; it goes to
+the double-exponential Fourier-cosine rule.
 
 Family inputs are qdist.QFamily members a * exp_q(-beta |x|^alpha)
 centred at 0: QGaussianShape(q, a, beta) builds the alpha = 2 member,
@@ -33,7 +38,7 @@ import numpy as np
 
 from ._quadrature import cosine_quad, line_quad
 from .errors import DomainError, PoleError, UnsupportedInputError
-from .qcore import COUPLING_EPS, coupling_value, exp_q, ln_q, sinc_q
+from .qcore import COUPLING_EPS, coupling_value, exp_q, exp_q_imag, ln_q, sinc_q
 from .qdist import DensityGrid, QAlphaFamily, QFamily, c_q
 from .qseq import conj_tilde, z_n
 
@@ -59,6 +64,10 @@ class UniformShape:
     def value(self, x):
         return np.where(np.abs(x) <= 1.0, 0.5, 0.0)
 
+    def plan(self):
+        """Layout of line_quad: the support is the core."""
+        return 1.0, None, None
+
 
 @dataclass(frozen=True, eq=False)
 class TransformResult:
@@ -76,17 +85,21 @@ class TransformResult:
     ws: np.ndarray
     values: np.ndarray
     method: str
-    est_abs_error: float
+    errors: np.ndarray
     q_out: float | None = None
-    subnormalizable: bool = False
-    errors: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "ws", np.asarray(self.ws, dtype=float))
         object.__setattr__(self, "values", np.asarray(self.values, dtype=complex))
-        errors = (np.full(self.ws.shape, self.est_abs_error)
-                  if self.errors is None else self.errors)
-        object.__setattr__(self, "errors", np.asarray(errors, dtype=float))
+        object.__setattr__(self, "errors", np.asarray(self.errors, dtype=float))
+
+    @property
+    def est_abs_error(self) -> float:
+        return float(np.max(self.errors))
+
+    @property
+    def subnormalizable(self) -> bool:
+        return self.q_out is not None and self.q_out <= -2.0
 
 
 @dataclass(frozen=True)
@@ -109,8 +122,7 @@ class ClosedFormQGaussian:
     def to_result(self, ws) -> TransformResult:
         ws = np.atleast_1d(np.asarray(ws, dtype=float))
         return TransformResult(
-            ws, self.evaluate(ws), "closed-form", 0.0, self.q_out, self.subnormalizable
-        )
+            ws, self.evaluate(ws), "closed-form", np.zeros(ws.shape), self.q_out)
 
 
 def _checked_ws(ws) -> np.ndarray:
@@ -120,70 +132,39 @@ def _checked_ws(ws) -> np.ndarray:
     return arr
 
 
+def _kernel(q: float, x: np.ndarray, v: np.ndarray, ws: np.ndarray) -> np.ndarray:
+    """The transform integrand v exp_q(i x w v^-q) at nodes x with density
+    values v, as a (nodes x ws) matrix; zero where v = 0."""
+    out = np.zeros((x.size, ws.size), dtype=complex)
+    pos = v > 0.0
+    v = v[pos]
+    y = (x[pos] * np.exp(-q * np.log(v)))[:, None] * ws
+    out[pos] = exp_q_imag(q, y, v[:, None])
+    return out
+
+
 def _direct_numeric(shape, q: float, ws: np.ndarray):
-    """Literal quadrature of f exp_q(i x w f^-q) for a kernel q < 0, over
-    all frequencies in one adaptive pass."""
+    """Adaptive quadrature of the kernel over the shape's plan, all
+    frequencies in one pass."""
     core, tail_power, points = shape.plan()
-    value = shape.value
-
-    def ig(x):
-        v = value(x)
-        out = np.zeros((x.size, ws.size), dtype=complex)
-        pos = v > 0.0
-        v = v[pos]
-        y = (x[pos] * np.exp(-q * np.log(v)))[:, None] * ws
-        out[pos] = _exp_q_complex_grid(q, y, v[:, None])
-        return out
-
-    return line_quad(ig, core, tail_power=tail_power, points=points)
+    return line_quad(lambda x: _kernel(q, x, shape.value(x), ws), core,
+                     tail_power=tail_power, points=points)
 
 
-def _classical_numeric(shape, ws: np.ndarray):
-    """Kernel coupling 0: the ordinary Fourier integral of the family.
-
-    Power-tailed members use the even symmetry of the family and the
-    double-exponential Fourier-cosine rule over [0, inf) at every
-    nonzero frequency at once; everything else decays fast enough for
-    one pass over the core."""
-    core, tail_power, points = shape.plan()
-    value = shape.value
-    if tail_power is None:
-        ig = lambda x: _polar(value(x)[:, None], np.outer(x, ws))
-        return line_quad(ig, core, points=points)
+def _cosine_numeric(shape: QFamily, ws: np.ndarray):
+    """Classical kernel for a power-tailed family: by the family's even
+    symmetry, the double-exponential Fourier-cosine rule over [0, inf)
+    at every nonzero frequency at once."""
+    core, tail_power, _ = shape.plan()
     vals = np.empty(ws.size, dtype=complex)
     errs = np.empty(ws.size, dtype=float)
     zero = ws == 0.0
     if zero.any():
-        vals[zero], errs[zero] = line_quad(value, core, tail_power=tail_power)
+        vals[zero], errs[zero] = line_quad(shape.value, core, tail_power=tail_power)
     if not zero.all():
-        half, half_err = cosine_quad(value, np.abs(ws[~zero]))
+        half, half_err = cosine_quad(shape.value, np.abs(ws[~zero]))
         vals[~zero], errs[~zero] = 2.0 * half, 2.0 * half_err
     return vals, errs
-
-
-def _uniform_numeric(q: float, ws: np.ndarray):
-    c = ws * 2.0 ** q
-    return line_quad(lambda x: _exp_q_complex_grid(q, np.outer(x, c), 0.5), 1.0)
-
-
-def _polar(r, theta: np.ndarray) -> np.ndarray:
-    """r * exp(i theta) in real arithmetic."""
-    out = np.empty(theta.shape, dtype=complex)
-    out.real = r * np.cos(theta)
-    out.imag = r * np.sin(theta)
-    return out
-
-
-def _exp_q_complex_grid(q: float, y: np.ndarray, scale=1.0) -> np.ndarray:
-    """scale * exp_q(i y) for real y, as modulus and phase in real
-    arithmetic: 1 + i t with t = q y has modulus sqrt(1 + t^2) and angle
-    arctan(t), and never touches the branch cut."""
-    if abs(q) <= COUPLING_EPS:
-        return _polar(scale * np.exp(0.5 * q * y * y), y)
-    t = q * y
-    with np.errstate(over="ignore"):
-        modulus = np.exp(np.log1p(t * t) / (2.0 * q))
-    return _polar(scale * modulus, np.arctan(t) / q)
 
 
 def _grid_numeric(grid: DensityGrid, q: float, ws: np.ndarray):
@@ -195,21 +176,16 @@ def _grid_numeric(grid: DensityGrid, q: float, ws: np.ndarray):
     # the half-step rule needs an odd count to end on the same sample, so
     # the estimate compares both rules on the longest odd-length prefix
     m = f.size if f.size % 2 else f.size - 1
-    pos = f > 0.0
-    fp = f[pos]
-    xq = grid.xs[pos]
-    if abs(q) > COUPLING_EPS:
-        xq = xq * np.exp(-q * np.log(fp))
+    xs = grid.xs
     vals = np.empty(ws.size, dtype=complex)
     errs = np.empty(ws.size, dtype=float)
-    # blocks of frequencies keep the (frequencies x samples) matrix small
+    # blocks of frequencies keep the (samples x frequencies) matrix small
     for lo in range(0, ws.size, _GRID_BLOCK):
         w = ws[lo : lo + _GRID_BLOCK]
-        g = np.zeros((w.size, f.size), dtype=complex)
-        g[:, pos] = _exp_q_complex_grid(q, np.outer(w, xq), fp)
-        full = np.trapezoid(g, dx=grid.dx, axis=1)
-        prefix = full if m == f.size else np.trapezoid(g[:, :m], dx=grid.dx, axis=1)
-        half = np.trapezoid(g[:, :m:2], dx=2.0 * grid.dx, axis=1)
+        g = _kernel(q, xs, f, w)
+        full = np.trapezoid(g, dx=grid.dx, axis=0)
+        prefix = full if m == f.size else np.trapezoid(g[:m], dx=grid.dx, axis=0)
+        half = np.trapezoid(g[:m:2], dx=2.0 * grid.dx, axis=0)
         vals[lo : lo + w.size] = full
         errs[lo : lo + w.size] = np.abs(prefix - half) / 3.0 + 1e-15
     return vals, errs
@@ -261,7 +237,7 @@ def qft_numeric(f, q, ws) -> TransformResult:
     ws_arr = _checked_ws(ws)
 
     if isinstance(f, UniformShape):
-        vals, errs = _uniform_numeric(q, ws_arr)
+        vals, errs = _direct_numeric(f, q, ws_arr)
         q_out = z_n(q, 2) if abs(1.0 + q) > 1e-12 else None
     elif isinstance(f, QFamily):
         if f.mu != 0.0:
@@ -269,8 +245,8 @@ def qft_numeric(f, q, ws) -> TransformResult:
                 f"the transform takes families centred at 0, got mu = {f.mu}")
         if q > COUPLING_EPS:
             vals, errs = _gaussian_hat_numeric(f, q, ws_arr)
-        elif abs(q) <= COUPLING_EPS:
-            vals, errs = _classical_numeric(f, ws_arr)
+        elif abs(q) <= COUPLING_EPS and f.plan()[1] is not None:
+            vals, errs = _cosine_numeric(f, ws_arr)
         else:
             vals, errs = _direct_numeric(f, q, ws_arr)
         matched = abs(f.q - q) <= _MATCH_TOL or (
@@ -289,9 +265,7 @@ def qft_numeric(f, q, ws) -> TransformResult:
         raise UnsupportedInputError(
             f"unsupported transform input type {type(f).__name__}"
         )
-    sub = q_out is not None and q_out <= -2.0
-    return TransformResult(
-        ws_arr, vals, "numeric", float(np.max(errs)), q_out, sub, errs)
+    return TransformResult(ws_arr, vals, "numeric", errs, q_out)
 
 
 def qft_qgaussian_closed(a, beta, q) -> ClosedFormQGaussian:
@@ -316,9 +290,8 @@ def qft_uniform_closed(q, w):
     return sinc_q(z_n(q, 2), arg_scale * np.asarray(w, dtype=float))
 
 
-def cqft_numeric(f, q, ws) -> TransformResult:
-    """Conjugate transform: map the family coupling by conj_tilde, then
-    apply the deformed Fourier transform at the mapped coupling."""
+def _conjugate_coupling(q) -> float:
+    """conj_tilde(q), which must stay above -2 for the transform."""
     q = coupling_value(q)
     qt = conj_tilde(q)
     if qt <= -2.0:
@@ -326,6 +299,14 @@ def cqft_numeric(f, q, ws) -> TransformResult:
             f"conjugate coupling {qt} <= -2: input coupling {q} is in the "
             "excluded band (-2, -1)"
         )
+    return qt
+
+
+def cqft_numeric(f, q, ws) -> TransformResult:
+    """Conjugate transform: map the family coupling by conj_tilde, then
+    apply the deformed Fourier transform at the mapped coupling."""
+    q = coupling_value(q)
+    qt = _conjugate_coupling(q)
     if isinstance(f, QFamily) and abs(f.q - q) <= _MATCH_TOL:
         f = replace(f, q=qt)
     return qft_numeric(f, qt, ws)
@@ -334,14 +315,7 @@ def cqft_numeric(f, q, ws) -> TransformResult:
 def cqft_qgaussian_closed(a, beta, q) -> ClosedFormQGaussian:
     """Closed-form conjugate transform of a * exp_q(-beta x^2): the
     transform of the conj_tilde member; output coupling conj_hat(q)."""
-    q = coupling_value(q)
-    qt = conj_tilde(q)
-    if qt <= -2.0:
-        raise DomainError(
-            f"conjugate coupling {qt} <= -2: input coupling {q} is in the "
-            "excluded band (-2, -1)"
-        )
-    return qft_qgaussian_closed(a, beta, qt)
+    return qft_qgaussian_closed(a, beta, _conjugate_coupling(q))
 
 
 def cqft_uniform_closed(q, w):

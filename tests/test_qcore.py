@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcoupling import qcore
@@ -23,6 +23,7 @@ from qcoupling.qcore import (
     dn_exp_q,
     exp_q,
     exp_q_complex,
+    exp_q_imag,
     exp_q_neg_power,
     intn_exp_q,
     ln_q,
@@ -161,6 +162,15 @@ class TestExpQNegPower:
             assert exp_q_neg_power(q, 1.0, 1e200) == 0.0
         assert exp_q_neg_power(-0.5, 1.0, math.inf) == 0.0
 
+    def test_nan_raises_and_infinity_vanishes(self):
+        for q in (-0.5, 0.0, 0.5):
+            with pytest.raises(DomainError):
+                exp_q_neg_power(q, 1.0, math.nan)
+            with pytest.raises(DomainError):
+                exp_q_neg_power(q, 1.0, np.array([0.0, math.nan]))
+            np.testing.assert_array_equal(
+                exp_q_neg_power(q, 1.0, np.array([-math.inf, math.inf])), 0.0)
+
     def test_matches_exp_q_and_array_matches_scalar(self):
         xs = np.array([-1e200, -3.0, 0.0, 0.7, 1e160, 1e308])
         for q, alpha in ((-1.5, 2.0), (-0.5, 1.0), (0.0, 2.0), (0.8, 1.5)):
@@ -185,6 +195,32 @@ class TestLnQ:
         assert ln_q(1.0, 4.0) == pytest.approx(3.0, rel=1e-15)
 
 
+def _prod_div_condition(q, x, y, p):
+    """First-order relative rounding error of q_div(q, q_prod(q, x, y), y).
+
+    Both functions work on the brackets 1 + sum of expm1(q log z) for z
+    in (x, y) and (p, y).  Rounding q log z and expm1 costs each term an
+    absolute error of eps (2 z^q |q log z| + |z^q - 1|), and q_prod's
+    last step exp(log1p(.)/q) costs p a relative eps (1 + |log p|), which
+    is |q| times that in p^q.  q_div's bracket p^q - y^q + 1 = x^q
+    cancels where x^q is small next to p^q and y^q, and the power 1/q
+    turns its absolute error e into a relative error e / (|q| x^q) of
+    the result.  The classical band divides exactly.
+    """
+    if abs(q) <= qcore.COUPLING_EPS:
+        return 0.0
+    eps = np.finfo(float).eps
+
+    def term(z):
+        zq = math.exp(q * math.log(z))
+        return eps * (2.0 * zq * abs(q * math.log(z)) + abs(zq - 1.0))
+
+    pq = math.exp(q * math.log(p))
+    bracket = (term(x) + 2.0 * term(y) + term(p)
+               + abs(q) * eps * (1.0 + abs(math.log(p))) * pq)
+    return bracket / (abs(q) * math.exp(q * math.log(x)))
+
+
 class TestDeformedArithmetic:
     @given(q=couplings, x=small_reals, y=small_reals)
     @settings(max_examples=300)
@@ -195,12 +231,14 @@ class TestDeformedArithmetic:
         assert rel_close(q_sub(q, s, y), x, 1e-12)
 
     @given(q=couplings, x=st.floats(min_value=0.1, max_value=10.0), y=st.floats(min_value=0.1, max_value=10.0))
+    @example(q=3.0, x=0.1, y=8.0)
     @settings(max_examples=300)
     def test_prod_div_round_trip(self, q, x, y):
         p = q_prod(q, x, y)
         if not (1e-140 < p < 1e140):
             return
-        assert rel_close(q_div(q, p, y), x, 1e-11)
+        tol = 1e-11 + _prod_div_condition(q, x, y, p)
+        assert rel_close(q_div(q, p, y), x, tol)
 
     def test_sub_pole(self):
         with pytest.raises(SingularDivisorError):
@@ -293,6 +331,14 @@ class TestComplexAndTrig:
                 b = exp_q_complex(q, z.conjugate())
                 assert a.conjugate() == pytest.approx(b, rel=1e-14)
 
+    def test_imaginary_argument_matches_complex_scalar(self):
+        ys = np.array([-40.0, -2.5, -0.3, 0.0, 0.7, 3.0, 25.0])
+        for q in (-1.5, -0.5, -1e-11, 0.0, 1e-11, 0.3, 2.0):
+            want = [exp_q_complex(q, 1j * y) for y in ys]
+            np.testing.assert_allclose(exp_q_imag(q, ys), want, rtol=1e-13)
+            np.testing.assert_allclose(exp_q_imag(q, ys, 0.25), 0.25 * np.array(want),
+                                       rtol=1e-13)
+
     def test_sin_classical(self):
         assert sin_q(0.0, math.pi / 2) == pytest.approx(1.0, rel=1e-15)
         assert sin_q(0.0, 1.3) == pytest.approx(math.sin(1.3), rel=1e-14)
@@ -311,6 +357,29 @@ class TestComplexAndTrig:
     def test_sin_odd_sinc_even(self, q, x):
         assert sin_q(q, -x) == pytest.approx(-sin_q(q, x), abs=1e-12)
         assert sinc_q(q, -x) == pytest.approx(sinc_q(q, x), abs=1e-12)
+
+    @pytest.mark.parametrize("q, tol", [
+        *((q, 1e-13) for q in (-1.9, -1.5, -0.5, 0.1, 0.25, 0.5, 1.0, 2.0, 3.0,
+                               1e-11, -1e-11, 0.0)),
+        (1e-3, 1e-11), (-1e-3, 1e-11),
+    ])
+    def test_sin_sinc_against_mpmath(self, q, tol):
+        # 40-digit Im (1 + i q x)^(1/q), the defining form also inside the
+        # classical band.  Errors are scaled by 1 + |exp_q(ix)|, not by
+        # |sin_q|: at q = 1e-3, x = 1e3 the phase is 250 pi, so sin_q is
+        # 6e-15 of the modulus, while the phase itself is only a float.
+        mp = pytest.importorskip("mpmath")
+        xs = np.concatenate((np.linspace(-1e3, 1e3, 201), [-0.3, 1e-3, 0.7, 2.5, 17.0]))
+        got_sin, got_sinc = sin_q(q, xs), sinc_q(q, xs)
+        with mp.workdps(40):
+            for x, s, sc in zip(xs, got_sin, got_sinc):
+                mx = mp.mpf(float(x))
+                z = mp.expj(mx) if q == 0.0 else (1 + 1j * mp.mpf(q) * mx) ** (1 / mp.mpf(q))
+                assert abs(s - mp.im(z)) <= tol * (1 + abs(z)), x
+                if x == 0.0:
+                    assert sc == 1.0
+                else:
+                    assert abs(sc - mp.im(z) / mx) <= tol * (1 + abs(z) / abs(mx)), x
 
     def test_sin_array_matches_scalar(self):
         xs = np.linspace(-5, 5, 31)

@@ -22,6 +22,7 @@ from qcoupling.qdist import (
     PRESERVE_VARIANCE,
     DensityGrid,
     QAlphaFamily,
+    QFamily,
     QGaussian,
     c_q,
     conjugate_pair,
@@ -184,6 +185,13 @@ class TestQFamily:
         # beta = 1/((2+q) sigma_sq) overflows to inf or underflows to 0
         with pytest.raises(DomainError, match="beta"):
             QGaussian(0.5, 0.0, sigma_sq)
+
+    def test_nan_argument_rejected(self):
+        with pytest.raises(DomainError):
+            qgaussian_pdf(QGaussian(-0.5), math.nan)
+        with pytest.raises(DomainError):
+            QFamily(0.5).value([0.0, math.nan])
+        assert QFamily(-0.5).value(math.inf) == 0.0
 
     def test_sampler_rejects_alpha_family(self):
         with pytest.raises(DomainError, match="alpha"):

@@ -179,13 +179,19 @@ class TestNumericGaussian:
         with pytest.raises(UnsupportedInputError, match="mu"):
             cqft_numeric(QGaussian(0.5, 0.3, 1.0), 0.5, [1.0])
 
-    def test_small_coupling_zero_frequency_within_bound(self):
-        # inside |q| <= COUPLING_EPS the closed form's c_q keeps exp_q's
-        # first order in q, which the quadrature of the kernel sees
-        q, a, beta = -9.1e-11, 0.373, 1.562
-        res = qft_numeric(QGaussianShape(q, a, beta), q, [0.0])
-        closed = qft_qgaussian_closed(a, beta, q).evaluate(0.0)
-        assert abs(res.values[0] - closed) <= res.errors[0]
+    def test_small_coupling_within_bound(self):
+        # inside |q| <= COUPLING_EPS the closed form keeps exp_q's first
+        # order in q, and so does the kernel, on the line and on a grid
+        # (spacing 2^-7 keeps the samples exactly symmetric)
+        a, beta = 0.373, 1.562
+        ws = np.linspace(-5.0, 5.0, 101)
+        dx = 2.0 ** -7
+        for q in (-9.1e-11, 9.1e-11):
+            f = QGaussianShape(q, a, beta)
+            closed = qft_qgaussian_closed(a, beta, q).evaluate(ws)
+            grid = DensityGrid(-8.0, dx, f.value(-8.0 + dx * np.arange(2049)))
+            for res in (qft_numeric(f, q, ws), qft_numeric(grid, q, ws)):
+                assert np.all(np.abs(res.values - closed) <= res.errors)
 
     def test_ws_validation(self):
         with pytest.raises(DomainError):
