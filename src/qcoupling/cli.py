@@ -168,8 +168,7 @@ def _cmd_dist(args, parser):
     xs = qdist.sample_qgaussian(dist, args.n, args.seed)
     meta = {"q": args.q, "mu": args.mu, "sigma_sq": args.sigma_sq,
             "seed": args.seed}
-    rows = [(v,) for v in xs.tolist()]
-    _emit(Dataset(["x"], rows, meta), args.format, args.out)
+    _emit(Dataset(["x"], xs[:, None], meta), args.format, args.out)
     return 0
 
 
@@ -185,7 +184,6 @@ def _cmd_transform(args, parser):
             closed_fn = (qft.cqft_uniform_closed if args.conjugate
                          else qft.qft_uniform_closed)
             values = closed_fn(args.q, ws)
-            rows = list(zip(ws, values))
         else:
             closed_fn = (qft.cqft_qgaussian_closed if args.conjugate
                          else qft.qft_qgaussian_closed)
@@ -193,8 +191,9 @@ def _cmd_transform(args, parser):
             meta.update(q_out=form.q_out, amplitude=form.amplitude,
                         width=form.width,
                         subnormalizable=form.subnormalizable)
-            rows = list(zip(ws, form.evaluate(ws)))
-        _emit(Dataset(["w", "value"], rows, meta), args.format, args.out)
+            values = form.evaluate(ws)
+        _emit(Dataset(["w", "value"], np.column_stack([ws, values]), meta),
+              args.format, args.out)
         return 0
 
     if args.family == "uniform":
@@ -207,8 +206,8 @@ def _cmd_transform(args, parser):
                 subnormalizable=result.subnormalizable)
     if result.q_out is not None:
         meta.update(q_out=result.q_out)
-    rows = list(zip(ws, result.values.real, result.values.imag))
-    _emit(Dataset(["w", "re", "im"], rows, meta), args.format, args.out)
+    table = np.column_stack([ws, result.values.real, result.values.imag])
+    _emit(Dataset(["w", "re", "im"], table, meta), args.format, args.out)
     return 0
 
 
@@ -225,17 +224,16 @@ def _cmd_simulate(args, parser):
         rep = sde.fit_qgaussian(xs)
         columns = ["q_est", "beta_est", "mu_est", "loglik", "n",
                    "converged", "q_pred", "beta_pred", "q_hat_pred"]
-        row = (rep.q_est, rep.beta_est, rep.mu_est, rep.loglik,
-               float(rep.n), float(rep.converged), pred.q, pred.beta,
-               pred.q_hat)
+        row = [rep.q_est, rep.beta_est, rep.mu_est, rep.loglik, rep.n,
+               rep.converged, pred.q, pred.beta, pred.q_hat]
         _emit(Dataset(columns, [row], meta), args.format, args.out)
         return 0
     per_path = cfg.samples_per_path
     paths = np.repeat(np.arange(cfg.n_paths, dtype=float), per_path)
     steps = np.tile(cfg.burn_in + cfg.stride * np.arange(per_path, dtype=float),
                     cfg.n_paths)
-    rows = list(zip(paths.tolist(), steps.tolist(), xs.tolist()))
-    _emit(Dataset(["path", "step", "x"], rows, meta), args.format, args.out)
+    table = np.column_stack([paths, steps, xs])
+    _emit(Dataset(["path", "step", "x"], table, meta), args.format, args.out)
     return 0
 
 

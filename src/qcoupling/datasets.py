@@ -6,7 +6,6 @@ parsed emission reproduces the dataset at that precision.
 """
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,8 +17,13 @@ from .qseq import conj_hat
 
 @dataclass
 class Dataset:
+    """A rectangular table: column names, rows held as one (n x columns)
+    float array, and optional JSON metadata.  rows may also be given as a
+    list of row tuples.  A NaN, a width that does not match the columns,
+    ragged rows and complex entries raise DomainError."""
+
     columns: list
-    rows: list
+    rows: np.ndarray
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -27,33 +31,39 @@ class Dataset:
                 isinstance(c, str) and c for c in self.columns):
             raise DomainError("column names must be nonempty strings")
         width = len(self.columns)
-        for row in self.rows:
-            if len(row) != width:
-                raise DomainError(
-                    f"row width {len(row)} != {width} columns")
-            for v in row:
-                if math.isnan(v):
-                    raise DomainError("NaN entries are not allowed")
+        try:
+            rows = np.asarray(self.rows)
+        except ValueError as e:
+            raise DomainError(f"rows are ragged: {e}") from None
+        if (rows.dtype.kind not in "biuf"
+                or rows.size and (rows.ndim != 2 or rows.shape[1] != width)):
+            raise DomainError(f"rows must be real with {width} columns, "
+                              f"got {rows.dtype} of shape {rows.shape}")
+        self.rows = rows.reshape(-1, width).astype(float, copy=False)
+        if np.isnan(self.rows).any():
+            raise DomainError("NaN entries are not allowed")
 
 
 def _fmt(v) -> str:
-    if v == 0:
-        v = 0.0
-    return f"{v:.12g}"
+    return f"{v + 0.0:.12g}"
+
+
+def _formatted_columns(dataset: Dataset) -> list:
+    """Each column's cells at 12 significant digits, the one formatting
+    pass both emitters share; adding 0.0 turns -0 into 0."""
+    return [[f"{v:.12g}" for v in (col + 0.0).tolist()]
+            for col in dataset.rows.T]
 
 
 def to_csv(dataset: Dataset) -> str:
     lines = [",".join(dataset.columns)]
-    for row in dataset.rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines.extend(map(",".join, zip(*_formatted_columns(dataset))))
     return "\n".join(lines) + "\n"
 
 
 def to_json(dataset: Dataset) -> str:
-    obj = {
-        "columns": list(dataset.columns),
-        "rows": [[float(_fmt(v)) for v in row] for row in dataset.rows],
-    }
+    cols = [list(map(float, col)) for col in _formatted_columns(dataset)]
+    obj = {"columns": list(dataset.columns), "rows": list(zip(*cols))}
     if dataset.meta:
         obj["meta"] = dataset.meta
     return json.dumps(obj) + "\n"
@@ -74,49 +84,45 @@ def figure_dataset(fid: int) -> Dataset:
     4: closed-form transform of the uniform density across couplings.
     """
     if fid == 1:
-        rows = []
-        for k in range(-190, 601):
-            q = k / 100.0
-            rows.append((q, conj_hat(q)))
-        return Dataset(["q", "hat_q"], rows)
+        qs = np.arange(-190, 601) / 100.0
+        hat = [conj_hat(q) for q in qs.tolist()]
+        return Dataset(["q", "hat_q"], np.column_stack([qs, hat]))
 
     if fid == 2:
         xs = np.arange(-300, 301) / 100.0
-        rows = []
+        blocks = []
         for q in _figure_couplings(2):
             base = qdist.QGaussian(q, 0.0, 1.0)
             pair = qdist.conjugate_pair(base, qdist.PRESERVE_NORMALIZATION)
             for member in (base, pair):
                 pdf = qdist.qgaussian_pdf(member, xs)
-                rows.extend(zip([member.q] * xs.size, xs, pdf))
+                blocks.append(np.column_stack(
+                    [np.full(xs.size, member.q), xs, pdf]))
         meta = {
             "sigma_sq": 1.0,
             "couplings": _figure_couplings(2),
             "note": "coupling values and the matched-amplitude conjugate "
                     "convention are library choices",
         }
-        return Dataset(["q", "x", "pdf"], rows, meta)
+        return Dataset(["q", "x", "pdf"], np.vstack(blocks), meta)
 
     if fid == 3:
-        rows = []
-        for k in range(1, 101):
-            q = k * 0.05
-            cq = qdist.c_q(q)
-            ch = qdist.c_q(conj_hat(q))
-            rows.append((q, cq, ch, ch / cq))
-        return Dataset(["q", "c_q", "c_hat", "ratio"], rows)
+        qs = np.arange(1, 101) * 0.05
+        cq = np.array([qdist.c_q(q) for q in qs.tolist()])
+        ch = np.array([qdist.c_q(conj_hat(q)) for q in qs.tolist()])
+        return Dataset(["q", "c_q", "c_hat", "ratio"],
+                       np.column_stack([qs, cq, ch, ch / cq]))
 
     if fid == 4:
         ws = np.arange(0, 1001) * 0.05
-        rows = []
-        for q in _figure_couplings(4):
-            vals = qft.qft_uniform_closed(q, ws)
-            rows.extend(zip([q] * ws.size, ws, vals))
+        blocks = [np.column_stack([np.full(ws.size, q), ws,
+                                   qft.qft_uniform_closed(q, ws)])
+                  for q in _figure_couplings(4)]
         meta = {
             "couplings": _figure_couplings(4),
             "note": "coupling values are a library choice around the "
                     "critical damping point -1/3",
         }
-        return Dataset(["q", "w", "value"], rows, meta)
+        return Dataset(["q", "w", "value"], np.vstack(blocks), meta)
 
     raise DomainError(f"figure id must be 1..4, got {fid}")

@@ -12,9 +12,11 @@ Branch conventions used throughout the package:
   continuation, exp(x*(1 - q*x/2)), so the limit is smooth rather than a
   hard switch to exp(x).  For real x the continuation holds only while
   |q*x| is small; past that the exact form (1 + q*x)^(1/q) is used.
+  q_prod and q_div are exp_q of the summed ln_q there.
 * exp_q_imag is the one array evaluation of exp_q at an imaginary
   argument, in real arithmetic; sin_q, sinc_q and the transform kernel
-  of qft are built on it.  The scalar exp_q_complex takes any complex
+  of qft are built on it.  In the band it leaves the continuation once
+  |q*y| passes sqrt(eps).  The scalar exp_q_complex takes any complex
   argument and raises on its branch cut.
 * A nonpositive base (1 + q*x <= 0) clamps to 0 when q > 0 (compact
   support) and maps to +inf when q < 0 (the divergent end of a heavy
@@ -39,6 +41,10 @@ COUPLING_EPS = 1e-10
 # The q -> 0 continuation is used while |q*x| stays below this; beyond it
 # the continuation's exponent x*(1 - q*x/2) turns over.
 _SMALL_QX = 1e-3
+
+# exp_q_imag leaves the band's continuation past this |q*y|: there its
+# phase error q^2 |y|^3/3 passes the exact angle's rounding, about eps |y|.
+_IMAG_QY = math.sqrt(np.finfo(float).eps)
 
 # exp_q(-beta |x|^alpha) switches to log space past this beta |x|^alpha.
 _LOG_SPACE_ARG = 1e300
@@ -242,10 +248,7 @@ def q_div(q, x, y) -> float:
     y = _finite(y, "y")
     if x <= 0.0 or y <= 0.0:
         raise DomainError("q_div requires positive operands")
-    if abs(q) <= COUPLING_EPS:
-        return x / y
-    shift = math.expm1(q * math.log(x)) - math.expm1(q * math.log(y))
-    return _bracket_root(q, shift)
+    return _exp_q_of_ln_sum(q, [x], [y])
 
 
 def q_prod_n(q, xs) -> float:
@@ -254,23 +257,20 @@ def q_prod_n(q, xs) -> float:
     xs = [_finite(x, "operand") for x in xs]
     if any(x <= 0.0 for x in xs):
         raise DomainError("q_prod requires positive operands")
-    if not xs:
-        return 1.0
+    return _exp_q_of_ln_sum(q, xs, [])
+
+
+def _exp_q_of_ln_sum(q: float, xs, ys) -> float:
+    """exp_q(sum of ln_q(xs) - sum of ln_q(ys)).  Outside the band the
+    bracket's displacement from 1, q times that sum, is summed on its own
+    for accuracy at small couplings."""
     if abs(q) <= COUPLING_EPS:
-        return float(np.prod(xs))
-    return _bracket_root(q, sum(math.expm1(q * math.log(x)) for x in xs))
-
-
-def _bracket_root(q: float, shift: float) -> float:
-    """(1 + shift)_+^(1/q) with the same boundary semantics as exp_q,
-    where shift is the bracket's displacement from 1 (kept separate for
-    accuracy at small couplings)."""
-    if shift > -1.0:
-        try:
-            return math.exp(math.log1p(shift) / q)
-        except OverflowError:
-            return math.inf
-    return 0.0 if q > 0.0 else math.inf
+        return exp_q(q, sum(ln_q(q, x) for x in xs)
+                     - sum(ln_q(q, y) for y in ys))
+    shift = (sum(math.expm1(q * math.log(x)) for x in xs)
+             - sum(math.expm1(q * math.log(y)) for y in ys))
+    with np.errstate(over="ignore"):
+        return float(_exp_q_exact(q, np.array([shift], dtype=float))[0])
 
 
 def power_rescale(q, x, p) -> tuple[float, float]:
@@ -319,24 +319,34 @@ def exp_q_imag(q, y, scale=1.0):
     (1 + (q*y)^2)^(1/2q) exp(i arctan(q*y)/q), and exp_q(-i*y) is its
     conjugate.  The band |q| <= COUPLING_EPS uses the continuation
     exp(i*y*(1 - i*q*y/2)) = exp(q*y^2/2) exp(i*y), which keeps the first
-    order in q.  scale broadcasts against y; the result is a complex
+    order in q while |q*y| <= sqrt(eps); past that the band too takes
+    the exact form.  scale broadcasts against y; the result is a complex
     array of y's shape.
     """
     q = coupling_value(q)
     y = np.asarray(y, dtype=float)
     # past the float range the modulus saturates to inf (or 0)
     with np.errstate(over="ignore"):
-        if abs(q) <= COUPLING_EPS:
-            modulus, angle = np.exp(0.5 * q * y * y), y
+        t = q * y
+        if abs(q) > COUPLING_EPS:
+            modulus, angle = _imag_polar(q, t)
         else:
-            t = q * y
-            modulus = np.exp(np.log1p(t * t) / (2.0 * q))
-            angle = np.arctan(t) / q
+            modulus, angle = np.exp(0.5 * q * y * y), y
+            far = np.abs(t) > _IMAG_QY
+            if far.any():
+                exact_modulus, exact_angle = _imag_polar(q, t)
+                modulus = np.where(far, exact_modulus, modulus)
+                angle = np.where(far, exact_angle, angle)
         r = scale * modulus
     out = np.empty(y.shape, dtype=complex)
     out.real = r * np.cos(angle)
     out.imag = r * np.sin(angle)
     return out
+
+
+def _imag_polar(q: float, t: np.ndarray):
+    """Modulus and angle of exp_q(i*y) from t = q*y, for q != 0."""
+    return np.exp(np.log1p(t * t) / (2.0 * q)), np.arctan(t) / q
 
 
 def sin_q(q, x):
@@ -370,8 +380,8 @@ def _sinc_q(q: float, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def dn_exp_q(q, a, n, x) -> float:
-    """n-th derivative of x |-> exp_q(a*x).
+def dn_exp_q(q, a, n, x):
+    """n-th derivative of x |-> exp_q(a*x), at a float or an array x.
 
     Closed form: a^n * prod_{i=1..n} (1 - (i-1)*q) times the rescaled
     exponential exp_{q/(1-n*q)}((1 - n*q)*a*x).  Couplings q = 1/i for
@@ -379,7 +389,6 @@ def dn_exp_q(q, a, n, x) -> float:
     """
     q = coupling_value(q)
     a = _finite(a, "a")
-    x = _finite(x, "x")
     n = _positive_int(n)
     coeff = a ** n
     for i in range(1, n + 1):
@@ -390,8 +399,9 @@ def dn_exp_q(q, a, n, x) -> float:
     return coeff * exp_q(q / scale, scale * a * x)
 
 
-def intn_exp_q(q, a, n, x) -> float:
-    """n-th antiderivative of x |-> exp_q(a*x) (integration constant 0).
+def intn_exp_q(q, a, n, x):
+    """n-th antiderivative of x |-> exp_q(a*x) (integration constant 0),
+    at a float or an array x.
 
     Closed form: a^-n * prod_{i=1..n} 1/(1 + i*q) times
     exp_{q/(1+n*q)}((1 + n*q)*a*x).  Couplings q = -1/i for i <= n are
@@ -399,7 +409,6 @@ def intn_exp_q(q, a, n, x) -> float:
     """
     q = coupling_value(q)
     a = _finite(a, "a")
-    x = _finite(x, "x")
     n = _positive_int(n)
     if a == 0.0:
         raise DomainError("intn_exp_q requires a != 0")

@@ -25,7 +25,7 @@ import numpy as np
 
 from ._quadrature import line_quad
 from .errors import DomainError, NumericsError
-from .qcore import COUPLING_EPS, coupling_value, exp_q, exp_q_neg_power
+from .qcore import COUPLING_EPS, _finite, coupling_value, exp_q, exp_q_neg_power
 from .qseq import conj_hat
 
 PRESERVE_VARIANCE = "preserve-variance"
@@ -94,10 +94,7 @@ class QFamily:
     def __post_init__(self):
         object.__setattr__(self, "q", coupling_value(self.q))
         for name in ("alpha", "beta", "a", "mu"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise DomainError(f"{name} must be finite, got {value!r}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _finite(getattr(self, name), name))
         if not 0.0 < self.alpha <= 2.0:
             raise DomainError(f"alpha must be in (0, 2], got {self.alpha}")
         if self.q <= -self.alpha:
@@ -319,7 +316,7 @@ def student_t_map(nu) -> StudentTMap:
     sigma_sq = 1 (so beta = 1/(2+q)); nu = 1 is Cauchy.  The conjugate
     coupling comes out as q_hat = 2/nu.
     """
-    nu = coupling_value(nu)
+    nu = _finite(nu, "nu")
     if nu <= 0.0:
         raise DomainError(f"degrees of freedom must be positive, got {nu}")
     q = -2.0 / (nu + 1.0)
@@ -328,7 +325,7 @@ def student_t_map(nu) -> StudentTMap:
 
 def kappa_map(kappa) -> float:
     """Reciprocal parameterization q = 1/kappa for kappa > 0."""
-    kappa = coupling_value(kappa)
+    kappa = _finite(kappa, "kappa")
     if kappa <= 0.0:
         raise DomainError(f"kappa must be positive, got {kappa}")
     return 1.0 / kappa
@@ -336,7 +333,7 @@ def kappa_map(kappa) -> float:
 
 def kappa_shift(kappa, n: int) -> float:
     """Index shift kappa_n = kappa + n/2 (the sequence in reciprocal form)."""
-    return coupling_value(kappa) + int(n) / 2.0
+    return _finite(kappa, "kappa") + int(n) / 2.0
 
 
 def conjugate_pair(dist: QFamily, mode: str = PRESERVE_VARIANCE) -> QFamily:
@@ -372,7 +369,7 @@ def coupling_phi(q, alpha) -> float:
     """Scale-free coupling of the (q, alpha) family: q/alpha for q >= 0
     and -q/(alpha + q) for -alpha < q < 0; diverges at q <= -alpha."""
     q = coupling_value(q)
-    alpha = coupling_value(alpha)
+    alpha = _finite(alpha, "alpha")
     if not 0.0 < alpha <= 2.0:
         raise DomainError(f"alpha must be in (0, 2], got {alpha}")
     if q <= -alpha:

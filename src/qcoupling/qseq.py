@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import DomainError, PoleError
-from .qcore import coupling_value
+from .qcore import _finite, coupling_value
 
 _POLE_TOL = 1e-14
 
@@ -39,7 +39,7 @@ def z_n(q, n: int) -> float:
 def z_alpha_n(q, alpha, n: int) -> float:
     """Two-parameter member alpha*q/(alpha + n*q) for 0 < alpha <= 2."""
     q = coupling_value(q)
-    alpha = coupling_value(alpha)
+    alpha = _finite(alpha, "alpha")
     if not 0.0 < alpha <= 2.0:
         raise DomainError(f"alpha must be in (0, 2], got {alpha}")
     n = int(n)

@@ -10,53 +10,60 @@ import math
 import numpy as np
 
 from . import qcore, qdist, qft, sde
-from ._quadrature import line_quad
 from .qcore import exp_q, ln_q, q_add, q_div, q_prod, q_sub
 from .qseq import conj_hat, conj_tilde, dual_additive, dual_multiplicative, z_n
 
 
+def _first_failure(q, checks, **args):
+    """FAIL detail of the first (what, bad) check whose mask flags an
+    argument, naming q and that argument; None when all hold."""
+    for what, bad in checks:
+        hits = np.flatnonzero(bad)
+        if hits.size:
+            at = ", ".join(f"{k}={v[hits[0]]:.3f}" for k, v in args.items())
+            return f"{what} at q={q:.3f}, {at}"
+    return None
+
+
 def _check_exp_log_roundtrip():
     rng = np.random.default_rng(101)
-    for _ in range(200):
-        q = rng.uniform(-1.9, 3.0)
-        if abs(q) < 1e-6:
-            continue
-        x = rng.uniform(-2.0, 2.0)
-        if 1.0 + q * x < 1e-3:
-            continue
-        v = exp_q(q, x)
-        if abs(ln_q(q, v) - x) > 1e-10 * (1.0 + abs(x)):
-            return f"ln_q(exp_q) drifted at q={q:.3f}, x={x:.3f}"
-        y = rng.uniform(0.1, 5.0)
-        if abs(exp_q(q, ln_q(q, y)) - y) > 1e-10 * y:
-            return f"exp_q(ln_q) drifted at q={q:.3f}, y={y:.3f}"
+    # three couplings per regime: heavy tail, classical, compact
+    for q in [*rng.uniform(-1.9, 0.0, 3), 0.0, *rng.uniform(0.0, 3.0, 3)]:
+        x, y = rng.uniform(-2.0, 2.0, 64), rng.uniform(0.1, 5.0, 64)
+        keep = 1.0 + q * x >= 1e-3
+        x, y = x[keep], y[keep]
+        detail = _first_failure(q, [
+            ("ln_q(exp_q) drifted",
+             np.abs(ln_q(q, exp_q(q, x)) - x) > 1e-10 * (1.0 + np.abs(x))),
+            ("exp_q(ln_q) drifted",
+             np.abs(exp_q(q, ln_q(q, y)) - y) > 1e-10 * y),
+        ], x=x, y=y)
+        if detail:
+            return detail
     return None
 
 
 def _check_arithmetic():
     rng = np.random.default_rng(102)
-    for _ in range(200):
-        q = rng.uniform(-1.5, 1.5)
-        if abs(q) < 1e-6:
-            continue
-        x, y = rng.uniform(-1.0, 1.0, 2)
-        if (1.0 + q * x < 1e-3 or 1.0 + q * y < 1e-3
-                or 1.0 + q * (x + y) < 1e-3):
-            continue
-        lhs = exp_q(q, x) * exp_q(q, y)
-        rhs = exp_q(q, q_add(q, x, y))
-        if abs(lhs - rhs) > 1e-10 * (1.0 + abs(lhs)):
-            return f"product rule failed at q={q:.3f}"
-        both = exp_q(q, x + y)
-        via = q_prod(q, exp_q(q, x), exp_q(q, y))
-        if abs(both - via) > 1e-10 * (1.0 + abs(both)):
-            return f"deformed product failed at q={q:.3f}"
-        if abs(q_sub(q, q_add(q, x, y), y) - x) > 1e-10:
-            return f"q_sub inverse failed at q={q:.3f}"
-        a, b = exp_q(q, x), exp_q(q, y)
-        prod = q_prod(q, a, b)
-        if prod > 0.0 and abs(q_div(q, prod, b) - a) > 1e-10 * a:
-            return f"q_div inverse failed at q={q:.3f}"
+    for q in [*rng.uniform(-1.5, 0.0, 3), 0.0, *rng.uniform(0.0, 1.5, 3)]:
+        x, y = rng.uniform(-1.0, 1.0, (2, 32))
+        keep = (1.0 + q * np.array([x, y, x + y]) >= 1e-3).all(axis=0)
+        x, y = x[keep], y[keep]
+        ex, ey, both = exp_q(q, x), exp_q(q, y), exp_q(q, x + y)
+        s = np.array([q_add(q, a, b) for a, b in zip(x, y)])
+        prod = np.array([q_prod(q, a, b) for a, b in zip(ex, ey)])
+        back = np.array([q_sub(q, a, b) for a, b in zip(s, y)])
+        quot = np.array([q_div(q, p, b) for p, b in zip(prod, ey)])
+        detail = _first_failure(q, [
+            ("product rule failed",
+             np.abs(ex * ey - exp_q(q, s)) > 1e-10 * (1.0 + ex * ey)),
+            ("deformed product failed",
+             np.abs(both - prod) > 1e-10 * (1.0 + both)),
+            ("q_sub inverse failed", np.abs(back - x) > 1e-10),
+            ("q_div inverse failed", np.abs(quot - ex) > 1e-10 * ex),
+        ], x=x, y=y)
+        if detail:
+            return detail
     return None
 
 
@@ -84,25 +91,26 @@ def _check_dualities():
 
 def _check_calculus():
     h = 1e-5
+    x = np.array([-0.4, 0.2, 0.9])
     for q in (-0.8, -0.3, 0.4):
         for a in (0.7, 1.3):
-            for x in (-0.4, 0.2, 0.9):
-                exact = qcore.dn_exp_q(q, a, 1, x)
-                fd = (exp_q(q, a * (x + h)) - exp_q(q, a * (x - h))) / (2.0 * h)
-                if abs(exact - fd) > 1e-4 * (1.0 + abs(exact)):
-                    return f"first derivative off at q={q}, x={x}"
-                anti_h = qcore.intn_exp_q(q, a, 1, x + h)
-                anti_l = qcore.intn_exp_q(q, a, 1, x - h)
-                back = (anti_h - anti_l) / (2.0 * h)
-                if abs(back - exp_q(q, a * x)) > 1e-4 * (1.0 + abs(back)):
-                    return f"antiderivative off at q={q}, x={x}"
-    # decay equation: d/dx exp_q = (exp_q)^(1-q)
-    for q in (-0.5, 0.3):
-        for x in (-0.3, 0.6):
-            d = qcore.dn_exp_q(q, 1.0, 1, x)
-            v = exp_q(q, x)
-            if abs(d - v ** (1.0 - q)) > 1e-8 * (1.0 + abs(d)):
-                return f"decay equation failed at q={q}, x={x}"
+            exact = qcore.dn_exp_q(q, a, 1, x)
+            fd = (exp_q(q, a * (x + h)) - exp_q(q, a * (x - h))) / (2.0 * h)
+            back = (qcore.intn_exp_q(q, a, 1, x + h)
+                    - qcore.intn_exp_q(q, a, 1, x - h)) / (2.0 * h)
+            v = exp_q(q, a * x)
+            detail = _first_failure(q, [
+                ("first derivative off",
+                 np.abs(exact - fd) > 1e-4 * (1.0 + np.abs(exact))),
+                ("antiderivative off",
+                 np.abs(back - v) > 1e-4 * (1.0 + np.abs(back))),
+                # decay equation: d/dx exp_q(a x) = a exp_q(a x)^(1-q)
+                ("decay equation failed",
+                 np.abs(exact - a * v ** (1.0 - q))
+                 > 1e-8 * (1.0 + np.abs(exact))),
+            ], x=x)
+            if detail:
+                return detail
     return None
 
 
@@ -110,8 +118,7 @@ def _check_normalization():
     # quadrature of the bare kernel against the tabulated constant,
     # looked up dynamically so a perturbed c_q is caught here
     for q, beta in ((-1.5, 1.0), (-0.5, 0.37), (0.5, 1.0), (2.0, 1.8)):
-        kernel = lambda x: exp_q(q, -beta * x * x)
-        val, _ = line_quad(kernel, *qdist.QFamily(q, beta=beta).plan())
+        val = qdist.QFamily(q, beta=beta).mass()
         want = qdist.c_q(q) / math.sqrt(beta)
         if abs(val - want) > 1e-6 * want:
             return f"constant mismatch at q={q}: {val} vs {want}"

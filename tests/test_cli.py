@@ -157,6 +157,38 @@ class TestEmission:
     def test_rejects_ragged(self):
         with pytest.raises(DomainError):
             Dataset(["a", "b"], [(1.0,)])
+        with pytest.raises(DomainError):
+            Dataset(["a", "b"], [(1.0, 2.0), (3.0,)])
+        with pytest.raises(DomainError):
+            Dataset(["a", "b"], np.zeros(4))
+
+    def test_rejects_complex(self):
+        with pytest.raises(DomainError):
+            Dataset(["a", "b"], [(1.0, 2.0 + 1e-3j)])
+        with pytest.raises(DomainError):
+            Dataset(["a"], np.ones((2, 1), dtype=complex))
+
+    def test_golden_bytes(self):
+        rows = [(-0.0, 0.0), (1e-300, 1e300), (1.0 / 3.0, 123456789012.5),
+                (1e11, -7.5)]
+        ds = Dataset(["a", "b"], rows)
+        assert datasets.to_csv(ds) == (
+            "a,b\n0,0\n1e-300,1e+300\n0.333333333333,123456789012\n"
+            "100000000000,-7.5\n")
+        assert datasets.to_json(ds) == (
+            '{"columns": ["a", "b"], "rows": [[0.0, 0.0], [1e-300, 1e+300], '
+            '[0.333333333333, 123456789012.0], [100000000000.0, -7.5]]}\n')
+
+    def test_array_and_tuples_emit_the_same_bytes(self):
+        rng = np.random.default_rng(5)
+        table = rng.standard_normal((40, 3)) * 10.0 ** rng.integers(
+            -20, 20, (40, 3))
+        table[3, 1] = -0.0
+        tuples = [tuple(row) for row in table.tolist()]
+        meta = {"note": "same"}
+        for emit in (datasets.to_csv, datasets.to_json):
+            assert emit(Dataset(["a", "b", "c"], table, meta)) == emit(
+                Dataset(["a", "b", "c"], tuples, meta))
 
     def test_out_writes_file(self, capsys, tmp_path):
         target = tmp_path / "fig1.csv"

@@ -205,7 +205,8 @@ def _prod_div_condition(q, x, y, p):
     is |q| times that in p^q.  q_div's bracket p^q - y^q + 1 = x^q
     cancels where x^q is small next to p^q and y^q, and the power 1/q
     turns its absolute error e into a relative error e / (|q| x^q) of
-    the result.  The classical band divides exactly.
+    the result.  The classical band goes through exp_q and ln_q of
+    operands near 1, whose rounding stays far below the 1e-11 floor.
     """
     if abs(q) <= qcore.COUPLING_EPS:
         return 0.0
@@ -271,11 +272,10 @@ class TestDeformedArithmetic:
         assert rel_close(lhs, rhs, 1e-11)
 
     @given(q=couplings, x=small_reals, y=small_reals)
+    @example(q=1e-10, x=5.0, y=5.0)
     @settings(max_examples=300)
     def test_exp_q_of_plain_sum_is_deformed_product(self, q, x, y):
         # exp_q(x + y) == exp_q(x) (x)_q exp_q(y)
-        if 0.0 < abs(q) < 1e-8:
-            return
         ex, ey = exp_q(q, x), exp_q(q, y)
         if not (1e-60 < ex < 1e60 and 1e-60 < ey < 1e60):
             return
@@ -285,6 +285,24 @@ class TestDeformedArithmetic:
             assert lhs == rhs
             return
         assert rel_close(lhs, rhs, 1e-11)
+
+    @pytest.mark.parametrize("q", [1e-10, -1e-10, 5e-11, -5e-11])
+    def test_band_prod_div_against_mpmath(self, q):
+        # 40-digit [x^q + y^q - 1]^(1/q) and [x^q - y^q + 1]^(1/q) inside
+        # the classical band; the plain x*y misses the first-order factor
+        # exp(-q log x log y), 2.5e-9 for the exp_q(5) pair
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            mq = mp.mpf(q)
+            for u, v in ((5.0, 5.0), (7.0, 3.0), (-4.0, 11.0), (0.3, -0.8),
+                         (30.0, -25.0)):
+                x, y = exp_q(q, u), exp_q(q, v)
+                mx, my = mp.mpf(x) ** mq, mp.mpf(y) ** mq
+                want_prod = (mx + my - 1) ** (1 / mq)
+                want_div = (mx - my + 1) ** (1 / mq)
+                assert abs(q_prod(q, x, y) - want_prod) <= 1e-14 * want_prod
+                assert abs(q_div(q, x, y) - want_div) <= 1e-14 * want_div
+                assert rel_close(q_prod(q, x, y), exp_q(q, u + v), 1e-14)
 
     @given(q=couplings, x=small_reals, p=st.floats(min_value=0.2, max_value=5.0))
     @settings(max_examples=300)
@@ -381,6 +399,17 @@ class TestComplexAndTrig:
                 else:
                     assert abs(sc - mp.im(z) / mx) <= tol * (1 + abs(z) / abs(mx)), x
 
+    @pytest.mark.parametrize("q", [1e-10, -1e-10])
+    @pytest.mark.parametrize("x", [1e6, 3e6])
+    def test_band_sin_far_from_origin_against_mpmath(self, q, x):
+        # |q x| >= 1e-4: the band's continuation exp(q x^2/2) e^{ix} drops
+        # the q^2 x^3/3 term of the phase, 3e-3 of the modulus at 1e6
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            z = (1 + 1j * mp.mpf(q) * mp.mpf(x)) ** (1 / mp.mpf(q))
+            assert abs(sin_q(q, x) - mp.im(z)) <= 1e-10 * abs(z)
+            assert abs(sin_q(q, -x) + mp.im(z)) <= 1e-10 * abs(z)
+
     def test_sin_array_matches_scalar(self):
         xs = np.linspace(-5, 5, 31)
         for q in (-0.5, 0.0, 0.5):
@@ -421,6 +450,16 @@ class TestClosedFormCalculus:
             got = _fd_derivative(F, x, n, h)
             want = exp_q(q, a * x)
             assert rel_close(got, want, 1e-5 if n == 1 else 1e-4)
+
+    def test_array_argument_matches_scalars(self):
+        xs = np.array([-0.4, 0.0, 0.25, 0.9])
+        for fn in (dn_exp_q, intn_exp_q):
+            for q, n in ((-0.6, 1), (0.0, 2), (0.3, 2)):
+                got = fn(q, 1.3, n, xs)
+                assert all(_same_bits(g, fn(q, 1.3, n, float(x)))
+                           for g, x in zip(got, xs))
+        with pytest.raises(DomainError):
+            dn_exp_q(0.3, 1.0, 1, np.array([0.1, np.nan]))
 
     def test_classical_limit_values(self):
         assert dn_exp_q(0.0, 2.0, 1, 0.0) == pytest.approx(2.0, rel=1e-12)

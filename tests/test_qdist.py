@@ -398,6 +398,16 @@ class TestParameterMaps:
         assert coupling_phi(-0.5, 1.0) == pytest.approx(1.0, rel=1e-14)
         assert coupling_phi(0.0, 1.7) == 0.0
 
+    @pytest.mark.parametrize("fn, args, name", [
+        (coupling_phi, (0.5, math.nan), "alpha"),
+        (student_t_map, (math.inf,), "nu"),
+        (kappa_map, (math.nan,), "kappa"),
+        (kappa_shift, (-math.inf, 1), "kappa"),
+    ])
+    def test_nonfinite_parameter_is_named(self, fn, args, name):
+        with pytest.raises(DomainError, match=f"^{name} must be finite"):
+            fn(*args)
+
     def test_coupling_phi_continuity_and_domain(self):
         assert coupling_phi(-1e-12, 2.0) == pytest.approx(0.0, abs=1e-12)
         with pytest.raises(DomainError):

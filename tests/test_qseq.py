@@ -90,6 +90,8 @@ class TestSequence:
             z_alpha_n(0.5, 0.0, 1)
         with pytest.raises(DomainError):
             z_alpha_n(0.5, 2.5, 1)
+        with pytest.raises(DomainError, match="alpha must be finite, got nan"):
+            z_alpha_n(0.5, math.nan, 1)
 
     @given(
         q=st.floats(min_value=-0.9, max_value=3.0),
