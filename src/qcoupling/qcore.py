@@ -248,7 +248,8 @@ def q_div(q, x, y) -> float:
     y = _finite(y, "y")
     if x <= 0.0 or y <= 0.0:
         raise DomainError("q_div requires positive operands")
-    return _exp_q_of_ln_sum(q, [x], [y])
+    # exp_q(0), which the log-space bracket would not see
+    return 1.0 if x == y else _exp_q_of_ln_sum(q, [x], [y])
 
 
 def q_prod_n(q, xs) -> float:
@@ -263,13 +264,23 @@ def q_prod_n(q, xs) -> float:
 def _exp_q_of_ln_sum(q: float, xs, ys) -> float:
     """exp_q(sum of ln_q(xs) - sum of ln_q(ys)).  Outside the band the
     bracket's displacement from 1, q times that sum, is summed on its own
-    for accuracy at small couplings."""
+    for accuracy at small couplings, or in log space once a power x^q
+    passes the float range."""
     if abs(q) <= COUPLING_EPS:
         return exp_q(q, sum(ln_q(q, x) for x in xs)
                      - sum(ln_q(q, y) for y in ys))
-    shift = (sum(math.expm1(q * math.log(x)) for x in xs)
-             - sum(math.expm1(q * math.log(y)) for y in ys))
+    es = [(q * math.log(v), s) for vs, s in ((xs, 1), (ys, -1)) for v in vs]
     with np.errstate(over="ignore"):
+        try:
+            shift = sum(s * math.expm1(e) for e, s in es)
+        except OverflowError:
+            # the bracket 1 + shift scaled by e^-m, m the largest exponent
+            # q log x > 709, where the 1 is below rounding
+            m = max(e for e, _ in es)
+            scaled = math.fsum(s * math.exp(e - m) for e, s in es)
+            if scaled <= 0.0:
+                return 0.0 if q > 0.0 else math.inf
+            return float(np.exp((m + math.log(scaled)) / q))
         return float(_exp_q_exact(q, np.array([shift], dtype=float))[0])
 
 

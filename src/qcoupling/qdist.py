@@ -25,17 +25,12 @@ import numpy as np
 
 from ._quadrature import line_quad
 from .errors import DomainError, NumericsError
-from .qcore import COUPLING_EPS, _finite, coupling_value, exp_q, exp_q_neg_power
+from .qcore import COUPLING_EPS, _finite, coupling_value, exp_q_neg_power
 from .qseq import conj_hat
 
 PRESERVE_VARIANCE = "preserve-variance"
 PRESERVE_BETA = "preserve-beta"
 PRESERVE_NORMALIZATION = "preserve-normalization"
-
-# Summed squared normals are used for integer-dof chi-square draws only
-# up to this many degrees of freedom; beyond that the gamma sampler is
-# both exact and cheaper.
-_MAX_SUMMED_NORMALS = 32
 
 
 def _gammaln_halfdiff(a):
@@ -392,11 +387,10 @@ def check_seed(seed):
 def sample_qgaussian(dist: QFamily, n: int, seed=None) -> np.ndarray:
     """Draw n samples; deterministic for a given seed.
 
-    q < 0 uses the scaled Student-t construction (normal over the square
-    root of an independent chi-square; summed squared normals for small
-    integer dof, gamma draws otherwise).  q = 0 is the normal path.
-    q > 0 rejects from the uniform envelope over the compact support,
-    with acceptance rate c_q(q) sqrt(q)/2.
+    One exact draw per regime: q < 0 is sqrt(sigma_sq) times a Student-t
+    with nu = -2/q - 1 (NumericsError where draws pass the float range,
+    near q = -2), q = 0 the normal law, and q > 0 is mu + h (2b - 1), h
+    the support half-width and b ~ Beta(1/q + 1, 1/q + 1).
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise DomainError(f"sample count must be a positive integer, got {n!r}")
@@ -410,36 +404,14 @@ def sample_qgaussian(dist: QFamily, n: int, seed=None) -> np.ndarray:
         return mu + scale * rng.standard_normal(n)
 
     if q < 0.0:
-        nu = -2.0 / q - 1.0
-        z = rng.standard_normal(n)
-        nearest = round(nu)
-        if 1 <= nearest <= _MAX_SUMMED_NORMALS and abs(nu - nearest) < 1e-9:
-            v = (rng.standard_normal((nearest, n)) ** 2).sum(axis=0)
-            nu = float(nearest)
-        else:
-            v = 2.0 * rng.standard_gamma(nu / 2.0, n)
-        # near q = -2 the chi-square draws underflow to 0, so most draws
-        # lie beyond the float range
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            out = mu + scale * z * np.sqrt(nu / v)
+            out = mu + scale * rng.standard_t(-2.0 / q - 1.0, n)
         bad = int(np.count_nonzero(~np.isfinite(out)))
         if bad:
             raise NumericsError(
                 f"{bad} of {n} draws at coupling {q} exceed the float range")
         return out
 
-    # compact support: rejection from the uniform envelope
-    beta = dist.beta
-    half = 1.0 / math.sqrt(q * beta)
-    rate = c_q(q) * math.sqrt(q) / 2.0
-    out = np.empty(n)
-    got = 0
-    while got < n:
-        m = min(int((n - got) / rate * 1.25) + 16, 4_000_000)
-        xs = rng.uniform(-half, half, m)
-        keep = rng.uniform(0.0, 1.0, m) <= exp_q(q, -beta * xs * xs)
-        acc = xs[keep]
-        take = min(acc.size, n - got)
-        out[got : got + take] = acc[:take]
-        got += take
-    return mu + out
+    s = 1.0 / q + 1.0
+    half = 1.0 / math.sqrt(q * dist.beta)
+    return mu + half * (2.0 * rng.beta(s, s, n) - 1.0)

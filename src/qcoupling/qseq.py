@@ -15,6 +15,7 @@ parameterization and the one-minus convention.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 from .errors import DomainError, PoleError
@@ -23,7 +24,12 @@ from .qcore import _finite, coupling_value
 _POLE_TOL = 1e-14
 
 
-def _checked_ratio(num: float, den: float, what: str) -> float:
+def _ratio(alpha: float, q: float, n, what: str) -> float:
+    """alpha*q/(alpha + n*q), the form of every map here; where a product
+    overflows, 1/(1/q + n/alpha), which has no pole there."""
+    num, den = alpha * q, alpha + n * q
+    if math.isinf(num) or math.isinf(den):
+        return 1.0 / (1.0 / q + n / alpha)
     if abs(den) <= _POLE_TOL:
         raise PoleError(f"{what} has a pole here (denominator {den!r})")
     return num / den
@@ -33,7 +39,7 @@ def z_n(q, n: int) -> float:
     """Sequence member 2q/(2 + n*q); reciprocals step by n/2."""
     q = coupling_value(q)
     n = int(n)
-    return _checked_ratio(2.0 * q, 2.0 + n * q, f"z_{n}")
+    return _ratio(2.0, q, n, f"z_{n}")
 
 
 def z_alpha_n(q, alpha, n: int) -> float:
@@ -43,19 +49,19 @@ def z_alpha_n(q, alpha, n: int) -> float:
     if not 0.0 < alpha <= 2.0:
         raise DomainError(f"alpha must be in (0, 2], got {alpha}")
     n = int(n)
-    return _checked_ratio(alpha * q, alpha + n * q, f"z_alpha_{n}")
+    return _ratio(alpha, q, n, f"z_alpha_{n}")
 
 
 def conj_hat(q) -> float:
     """Hat conjugation -2q/(2 + q); involution with pole at q = -2."""
     q = coupling_value(q)
-    return _checked_ratio(-2.0 * q, 2.0 + q, "conj_hat")
+    return -_ratio(2.0, q, 1, "conj_hat")
 
 
 def conj_tilde(q) -> float:
     """Tilde conjugation -q/(1 + q); involution with pole at q = -1."""
     q = coupling_value(q)
-    return _checked_ratio(-q, 1.0 + q, "conj_tilde")
+    return -_ratio(1.0, q, 1, "conj_tilde")
 
 
 class IndexedCoupling(NamedTuple):
@@ -97,7 +103,7 @@ def dual_additive(q) -> float:
 def dual_multiplicative(q) -> float:
     """Multiplicative dual q -> -q/(1 - q); pole at q = 1."""
     q = coupling_value(q)
-    return _checked_ratio(-q, 1.0 - q, "dual_multiplicative")
+    return -_ratio(1.0, q, -1, "dual_multiplicative")
 
 
 def translate(qprime) -> float:

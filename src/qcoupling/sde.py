@@ -29,7 +29,8 @@ from .qcore import COUPLING_EPS
 from . import qdist
 
 _BLOWUP = 1.0e12
-_NOISE_BLOCK = 4096
+# Noise values per component held at once, whatever the path count
+_NOISE_VALUES = 1 << 21
 
 
 class StationaryPrediction(NamedTuple):
@@ -108,11 +109,11 @@ class SdeConfig:
         _check_model_params(self.M, self.tau, self.A)
         if self.g != "linear":
             raise DomainError(f"unknown g choice {self.g!r}")
-        if not (math.isfinite(self.dt) and self.dt > 0.0):
-            raise DomainError(f"dt must be > 0, got {self.dt}")
-        if self.dt * self.tau >= 0.1:
-            raise DomainError(
-                f"dt * tau = {self.dt * self.tau:g} too coarse, need < 0.1")
+        # dt > 0 and finite; below the lower end the default burn-in,
+        # 10/(tau dt) steps, overflows
+        if not 10.0 / np.finfo(float).max < self.dt * self.tau < 0.1:
+            raise DomainError(f"dt * tau = {self.dt * self.tau:g} outside "
+                              f"({10.0 / np.finfo(float).max:g}, 0.1)")
         qdist.check_seed(self.seed)
         if self.burn_in is None:
             self.burn_in = math.ceil(10.0 / (self.tau * self.dt))
@@ -147,14 +148,17 @@ def _worker_count(n_paths):
     return min(cpus, n_paths)
 
 
-def _fill_noise(streams, noise, add, lo, hi, nb):
-    # fill paths lo..hi-1 of a time-major (block, 2, n_paths) buffer;
-    # the generators release the GIL while they draw
-    scratch = np.empty((nb, 2))
-    for i in range(lo, hi):
-        streams[i].standard_normal(out=scratch)
-        noise[:nb, :, i] = scratch
-    noise[:nb, 1, lo:hi] *= add
+def _fill_noise(streams, noise, scratch, add, lo, hi, nb):
+    # fill paths lo..hi-1 of a time-major (block, 2, n_paths) buffer a
+    # tile of rows at a time, scaling the additive component in the
+    # transposed copy; the generators release the GIL while they draw
+    for t0 in range(lo, hi, len(scratch)):
+        tile = scratch[:hi - t0, :nb]
+        for k, row in enumerate(tile):
+            streams[t0 + k].standard_normal(out=row)
+        t1 = t0 + len(tile)
+        noise[:nb, 0, t0:t1] = tile[:, :, 0].T
+        np.multiply(tile[:, :, 1].T, add, out=noise[:nb, 1, t0:t1])
 
 
 def simulate(cfg):
@@ -189,14 +193,20 @@ def simulate(cfg):
         k, next_keep = 1, stride
 
     step = 0
-    noise = np.empty((min(_NOISE_BLOCK, cfg.steps), 2, n))
+    block = min(max(1, _NOISE_VALUES // n), cfg.steps)
+    noise = np.empty((block, 2, n))
+    # a scratch of up to 16-path tiles per worker, allocated in this thread
+    # (lower peak RSS), together at most an eighth of the noise block
+    tile = min(16, max(1, n // (8 * workers)))
+    scratch = np.empty((workers, tile, block, 2))
     with ThreadPoolExecutor(workers) as pool, \
             np.errstate(over="ignore", invalid="ignore"):
         while step < cfg.steps:
-            nb = min(_NOISE_BLOCK, cfg.steps - step)
+            nb = min(block, cfg.steps - step)
             list(pool.map(
-                lambda lo, hi: _fill_noise(streams, noise, add, lo, hi, nb),
-                edges[:-1], edges[1:]))
+                lambda w: _fill_noise(streams, noise, scratch[w], add,
+                                      edges[w], edges[w + 1], nb),
+                range(workers)))
             for j in range(nb):
                 # ((x + drift*x) + (mul*x)*n0) + add*n1 in place; another
                 # grouping would round differently

@@ -83,6 +83,24 @@ class TestExitCodes:
         assert proc.stderr.startswith("DomainError: seed")
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("args, want", [
+        (["eval", "q_prod", "--q", "2", "--x", "1e300", "--y", "2"], "1e+300"),
+        (["eval", "q_div", "--q", "3", "--x", "1e200", "--y", "1e-200"],
+         "1e+200"),
+        (["seq", "z", "--q", "1e308", "--n", "5"], "0.4"),
+    ], ids=["q_prod", "q_div", "seq_z"])
+    def test_values_past_the_float_range(self, capsys, args, want):
+        code, out, err = run_cli(args, capsys)
+        assert (code, out.strip(), err) == (0, want, "")
+
+    def test_tiny_dt_is_domain_error(self, capsys):
+        code, out, err = run_cli(["simulate", "--seed", "1", "--dt", "1e-320"],
+                                 capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("DomainError: dt * tau")
+
     def test_subnormalizable_dist_is_error(self, capsys):
         code, _, err = run_cli(["dist", "cq", "--q", "-2.5"], capsys)
         assert code == 1

@@ -304,6 +304,21 @@ class TestDeformedArithmetic:
                 assert abs(q_div(q, x, y) - want_div) <= 1e-14 * want_div
                 assert rel_close(q_prod(q, x, y), exp_q(q, u + v), 1e-14)
 
+    @pytest.mark.parametrize("f, q, x, y, want", [
+        (q_prod, 2.0, 1e300, 2.0, 1e300),
+        (q_prod, -2.0, 1e-300, 2.0, 1e-300),
+        (q_prod, 1.5, 1e308, 1e308, 2.0 ** (2 / 3) * 1e308),
+        (q_div, 3.0, 1e200, 1e-200, 1e200),
+        (q_div, 3.0, 1e200, 1e200, 1.0),
+        # a bracket below 0: the edge of the support or the divergent end
+        (q_div, 2.0, 1e200, 1e300, 0.0),
+        (q_div, -3.0, 1e-200, 1e-300, math.inf),
+    ], ids=["prod", "prod_heavy", "prod_top", "div", "div_equal", "div_edge",
+            "div_divergent"])
+    def test_prod_div_past_the_float_range(self, f, q, x, y, want):
+        # x^q overflows while [x^q +- y^q -+ 1]^(1/q) does not
+        assert f(q, x, y) == pytest.approx(want, rel=1e-12)
+
     @given(q=couplings, x=small_reals, p=st.floats(min_value=0.2, max_value=5.0))
     @settings(max_examples=300)
     def test_power_rescale_identity(self, q, x, p):

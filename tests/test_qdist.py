@@ -6,6 +6,7 @@ independent oracles (classical results, scipy.stats.t, quadrature of
 the defining integrals)."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -483,7 +484,7 @@ class TestSampler:
         assert iqr == pytest.approx(2.0, rel=0.03)
 
     def test_heavy_gamma_path_quantiles(self):
-        # nu = 2/0.35 - 1 is not an integer: exercises the gamma branch
+        # nu = 2/0.35 - 1 is not an integer
         q = -0.35
         d = QGaussian(q, 0.0, 1.0)
         nu = -2.0 / q - 1.0
@@ -525,6 +526,28 @@ class TestSampler:
 
     @pytest.mark.filterwarnings("error")
     def test_draws_beyond_float_range_raise(self):
-        # near q = -2 the chi-square draws underflow to 0
-        with pytest.raises(NumericsError, match=r"5 of 5 draws at coupling -1\.999"):
+        # near q = -2 the Student-t has nu = 5e-4 degrees of freedom
+        with pytest.raises(NumericsError, match=r"4 of 5 draws at coupling -1\.999"):
             sample_qgaussian(QGaussian(-1.999), 5, seed=1)
+
+    @pytest.mark.parametrize("q", [1e-5, 1e-3])
+    def test_small_compact_coupling(self, q):
+        # nearly classical compact laws: Beta(1/q + 1, 1/q + 1) with
+        # large parameters, still inside the support
+        d = QGaussian(q, 0.3, 1.7)
+        lo, hi = support_bounds(d)
+        xs = sample_qgaussian(d, 200_000, seed=6)
+        assert xs.min() >= lo and xs.max() <= hi
+        assert xs.var() == pytest.approx(1.7, rel=0.01)
+
+    @pytest.mark.parametrize("q", [0.5, -0.5])
+    def test_traced_peak_memory(self, q):
+        # about one float per draw and a few temporaries: 8 MiB per 10^6
+        sample_qgaussian(QGaussian(q), 10, seed=1)
+        tracemalloc.start()
+        try:
+            sample_qgaussian(QGaussian(q), 10**6, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * 2**20

@@ -39,6 +39,15 @@ class TestSequence:
         assert z_n(-0.5, 2) == pytest.approx(-1.0, rel=1e-15)
         assert z_n(0.8, 0) == pytest.approx(0.8, rel=1e-15)
 
+    def test_products_past_the_float_range(self):
+        # 2q or n*q overflows; 1/z_n = 1/q + n/2 stays finite
+        assert z_n(1e308, 5) == pytest.approx(0.4, rel=1e-15)
+        assert z_n(1e308, 0) == pytest.approx(1e308, rel=1e-15)
+        assert z_n(1e308, -1) == pytest.approx(-2.0, rel=1e-15)
+        assert z_n(1e300, 10**300) == pytest.approx(2e-300, rel=1e-15)
+        assert z_alpha_n(1e308, 0.5, 5) == pytest.approx(0.1, rel=1e-15)
+        assert conj_hat(1e308) == pytest.approx(-2.0, rel=1e-15)
+
     def test_pole(self):
         with pytest.raises(PoleError):
             z_n(-2.0, 1)

@@ -1,6 +1,7 @@
 import math
 import os
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,24 @@ from qcoupling.errors import (
 def force_cpus(monkeypatch, n):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
                         raising=False)
+
+
+def _whole_run_samples(cfg):
+    # reference: each path draws all of its noise at once, and the step
+    # arithmetic is the same, so the samples are bitwise equal
+    drift = -(cfg.tau - cfg.M) * cfg.dt
+    mul = math.sqrt(2.0 * cfg.M * cfg.dt)
+    add = math.sqrt(2.0 * cfg.A * cfg.dt)
+    noise = np.stack([
+        np.random.default_rng(s).standard_normal((cfg.steps, 2))
+        for s in np.random.SeedSequence(cfg.seed).spawn(cfg.n_paths)])
+    x = np.zeros(cfg.n_paths)
+    kept = []
+    for j in range(cfg.steps):
+        x = x + drift * x * 1.0 + mul * x * noise[:, j, 0] + add * noise[:, j, 1]
+        if j + 1 >= cfg.burn_in and (j + 1 - cfg.burn_in) % cfg.stride == 0:
+            kept.append(x)
+    return np.stack(kept, axis=1).ravel()
 
 
 @pytest.fixture(scope="module")
@@ -128,6 +147,8 @@ class TestConfig:
         dict(seed=-1),
         dict(seed=True),
         dict(seed=2.0),
+        dict(dt=1e-320),
+        dict(dt=5e-324, tau=0.5, burn_in=0),
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(DomainError):
@@ -145,24 +166,34 @@ class TestSimulate:
 
     @pytest.mark.parametrize("block", [4096, 64])
     def test_blocked_noise_matches_whole_run_draws(self, monkeypatch, block):
-        # reference: each path draws all of its noise at once, and the
-        # step arithmetic is the same, so the samples are bitwise equal
-        monkeypatch.setattr(sde, "_NOISE_BLOCK", block)
+        # a whole-run block and a 64-step block
         cfg = sde.SdeConfig(steps=300, n_paths=5, burn_in=37, seed=11)
-        drift = -(cfg.tau - cfg.M) * cfg.dt
-        mul = math.sqrt(2.0 * cfg.M * cfg.dt)
-        add = math.sqrt(2.0 * cfg.A * cfg.dt)
-        noise = np.stack([
-            np.random.default_rng(s).standard_normal((cfg.steps, 2))
-            for s in np.random.SeedSequence(cfg.seed).spawn(cfg.n_paths)])
-        x = np.zeros(cfg.n_paths)
-        kept = []
-        for j in range(cfg.steps):
-            x = x + drift * x * 1.0 + mul * x * noise[:, j, 0] + add * noise[:, j, 1]
-            if j + 1 >= cfg.burn_in and (j + 1 - cfg.burn_in) % cfg.stride == 0:
-                kept.append(x)
-        want = np.stack(kept, axis=1).ravel()
-        assert np.array_equal(sde.simulate(cfg), want)
+        monkeypatch.setattr(sde, "_NOISE_VALUES", block * cfg.n_paths)
+        assert np.array_equal(sde.simulate(cfg), _whole_run_samples(cfg))
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("n_paths", [37, 389])
+    def test_partial_blocks_and_tiles_match_whole_run_draws(
+            self, monkeypatch, n_paths, workers):
+        # 40-step blocks leave a 20-step last block; the paths split
+        # unevenly over 2 and 3 workers, and each worker's last tile is
+        # partial (389 paths take 16-path tiles, 37 smaller ones)
+        cfg = sde.SdeConfig(steps=300, n_paths=n_paths, burn_in=37, seed=5)
+        monkeypatch.setattr(sde, "_NOISE_VALUES", 40 * cfg.n_paths)
+        force_cpus(monkeypatch, workers)
+        assert np.array_equal(sde.simulate(cfg), _whole_run_samples(cfg))
+
+    def test_traced_peak_memory_is_bounded(self):
+        # the noise block holds _NOISE_VALUES values per component
+        # whatever the path count; a whole-run block traces 120 MiB
+        cfg = sde.SdeConfig(n_paths=5000, steps=1500, seed=2)
+        tracemalloc.start()
+        try:
+            sde.simulate(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 48 * 2**20
 
     def test_output_shape(self, headline_run):
         cfg, xs = headline_run
@@ -200,7 +231,7 @@ class TestSimulate:
     def test_samples_do_not_depend_on_worker_count(self, monkeypatch, n_paths):
         # 5 paths split unevenly over 2 and 3 workers; 1 path is fewer
         # paths than workers
-        monkeypatch.setattr(sde, "_NOISE_BLOCK", 64)
+        monkeypatch.setattr(sde, "_NOISE_VALUES", 64 * n_paths)
         cfg = sde.SdeConfig(steps=300, n_paths=n_paths, burn_in=37, seed=11)
         runs = []
         for workers in (1, 2, 3):
