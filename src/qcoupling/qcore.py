@@ -8,27 +8,28 @@ from exp_q of imaginary arguments.
 
 Branch conventions used throughout the package:
 
-* |q| <= COUPLING_EPS evaluates the q -> 0 limit through a second-order
-  continuation, exp(x*(1 - q*x/2)), so the limit is smooth rather than a
-  hard switch to exp(x).  For real x the continuation holds only while
-  |q*x| is small; past that the exact form (1 + q*x)^(1/q) is used.
-  q_prod and q_div are exp_q of the summed ln_q there.
-* exp_q_imag is the one array evaluation of exp_q at an imaginary
-  argument, in real arithmetic; sin_q, sinc_q and the transform kernel
-  of qft are built on it.  In the band it leaves the continuation once
-  |q*y| passes sqrt(eps).  The scalar exp_q_complex takes any complex
-  argument and raises on its branch cut.
+* One band rule: |q| <= COUPLING_EPS evaluates the q -> 0 limit through
+  the continuation exp(z*(1 - q*z/2)), which keeps the first order in q,
+  while |q*z| <= sqrt(eps); past that the exact form (1 + q*z)^(1/q) is
+  used, for real and complex z alike.  q_prod and q_div are exp_q of the
+  summed ln_q there.
+* exp_q off the real axis has one array kernel, in real arithmetic on
+  the polar form of 1 + q*z.  exp_q_imag is its z = i*y case, on which
+  sin_q, sinc_q and the transform kernel of qft are built;
+  exp_q_complex is its scalar face and raises on the branch cut.
 * A nonpositive base (1 + q*x <= 0) clamps to 0 when q > 0 (compact
   support) and maps to +inf when q < 0 (the divergent end of a heavy
   tail).  These are the only two ways the base can leave (0, inf).
-* exp_q, exp_q_neg_power, ln_q, sin_q and sinc_q evaluate arrays; a
-  scalar argument runs as a one-element array and gives a Python float.
+* exp_q, exp_q_neg_power, ln_q, sin_q, sinc_q and the arithmetic q_add,
+  q_sub, q_prod and q_div evaluate arrays, the arithmetic with x and y
+  broadcast against each other; scalar arguments run as one-element
+  arrays and give a Python float.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
+from functools import partial, reduce
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,13 +39,10 @@ from .errors import BranchCutError, DomainError, NumericsError, PoleError, Singu
 # Couplings below this magnitude are treated as the q -> 0 limit.
 COUPLING_EPS = 1e-10
 
-# The q -> 0 continuation is used while |q*x| stays below this; beyond it
-# the continuation's exponent x*(1 - q*x/2) turns over.
-_SMALL_QX = 1e-3
-
-# exp_q_imag leaves the band's continuation past this |q*y|: there its
-# phase error q^2 |y|^3/3 passes the exact angle's rounding, about eps |y|.
-_IMAG_QY = math.sqrt(np.finfo(float).eps)
+# The band leaves its continuation past this |q*z|: there the dropped
+# term q^2 z^3/3 of the exponent passes the exact form's rounding, about
+# eps |z|.
+_BAND_QZ = math.sqrt(np.finfo(float).eps)
 
 # exp_q(-beta |x|^alpha) switches to log space past this beta |x|^alpha.
 _LOG_SPACE_ARG = 1e300
@@ -142,9 +140,9 @@ def _exp_q(q: float, x: np.ndarray) -> np.ndarray:
         if abs(q) > COUPLING_EPS:
             return _exp_q_exact(q, q * x)
         out = np.exp(x * (1.0 - 0.5 * q * x))
-        if x.size and abs(q) * max(x.max(), -x.min()) > _SMALL_QX:
+        if x.size and abs(q) * max(x.max(), -x.min()) > _BAND_QZ:
             qx = q * x
-            far = np.abs(qx) > _SMALL_QX
+            far = np.abs(qx) > _BAND_QZ
             out[far] = _exp_q_exact(q, qx[far])
     return out
 
@@ -206,82 +204,106 @@ def _ln_q(q: float, x: np.ndarray) -> np.ndarray:
         return np.expm1(q * np.log(x)) / q
 
 
-def q_add(q, x, y) -> float:
+def q_add(q, x, y):
     """Deformed sum x + y + q*x*y (turns exp_q products into sums)."""
-    q = coupling_value(q)
-    return _finite(x, "x") + _finite(y, "y") + q * float(x) * float(y)
+    return _binary(_q_add, q, x, y)
 
 
-def q_sub(q, x, y) -> float:
+def _q_add(q: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return x + y + q * x * y
+
+
+def q_sub(q, x, y):
     """Inverse of q_add in y: (x - y)/(1 + q*y)."""
-    q = coupling_value(q)
-    x = _finite(x, "x")
-    y = _finite(y, "y")
+    return _binary(_q_sub, q, x, y)
+
+
+def _q_sub(q: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     den = 1.0 + q * y
-    if den == 0.0:
+    if (den == 0.0).any():
         raise SingularDivisorError("q_sub divisor 1 + q*y vanishes")
     return (x - y) / den
 
 
 def q_add_n(q, xs) -> float:
     """Left fold of q_add over a sequence; empty input gives 0."""
-    q = coupling_value(q)
-    total = 0.0
-    for x in xs:
-        total = q_add(q, total, x)
-    return total
+    return reduce(partial(q_add, q), xs, 0.0)
 
 
-def q_prod(q, x, y) -> float:
+def q_prod(q, x, y):
     """Deformed product [x^q + y^q - 1]_+^(1/q) for positive x, y.
 
     Turns ordinary sums in the exponent into products:
     exp_q(x + y) = q_prod(q, exp_q(x), exp_q(y)).
     """
-    return q_prod_n(q, (x, y))
+    return _binary(_q_prod, q, x, y)
 
 
-def q_div(q, x, y) -> float:
+def _q_prod(q: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return _exp_q_of_ln_sum(q, _positive("q_prod", np.stack((x, y))))
+
+
+def q_div(q, x, y):
     """Deformed division [x^q - y^q + 1]_+^(1/q), inverse of q_prod."""
-    q = coupling_value(q)
-    x = _finite(x, "x")
-    y = _finite(y, "y")
-    if x <= 0.0 or y <= 0.0:
-        raise DomainError("q_div requires positive operands")
+    return _binary(_q_div, q, x, y)
+
+
+def _q_div(q: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    ops = _positive("q_div", np.stack((x, y)))
     # exp_q(0), which the log-space bracket would not see
-    return 1.0 if x == y else _exp_q_of_ln_sum(q, [x], [y])
+    return np.where(x == y, 1.0, _exp_q_of_ln_sum(q, ops, np.array([1.0, -1.0])))
 
 
 def q_prod_n(q, xs) -> float:
-    """Deformed product over a sequence; empty input gives 1."""
+    """Deformed product [sum of x^q - (n - 1)]_+^(1/q) of n positive
+    operands; empty input gives 1."""
     q = coupling_value(q)
-    xs = [_finite(x, "operand") for x in xs]
-    if any(x <= 0.0 for x in xs):
-        raise DomainError("q_prod requires positive operands")
-    return _exp_q_of_ln_sum(q, xs, [])
+    ops = _positive("q_prod", np.asarray(list(xs), dtype=float).reshape(-1, 1))
+    return float(_exp_q_of_ln_sum(q, ops)[0])
 
 
-def _exp_q_of_ln_sum(q: float, xs, ys) -> float:
-    """exp_q(sum of ln_q(xs) - sum of ln_q(ys)).  Outside the band the
-    bracket's displacement from 1, q times that sum, is summed on its own
-    for accuracy at small couplings, or in log space once a power x^q
-    passes the float range."""
+def _binary(kernel, q, x, y):
+    """kernel(q, x, y) through _scalar_or_array, on finite x and y
+    broadcast against each other; past the float range a result
+    saturates, as float arithmetic does."""
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    for v, name in ((x, "x"), (y, "y")):
+        if not np.isfinite(v).all():
+            raise DomainError(f"{name} must be finite")
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _scalar_or_array(kernel, q, x, np.atleast_1d(y))
+
+
+def _positive(what: str, ops: np.ndarray) -> np.ndarray:
+    if not np.isfinite(ops).all():
+        raise DomainError(f"{what} operands must be finite")
+    if not (ops > 0.0).all():
+        raise DomainError(f"{what} requires positive operands")
+    return ops
+
+
+def _exp_q_of_ln_sum(q: float, ops: np.ndarray, signs=1.0) -> np.ndarray:
+    """exp_q of the sum over the first axis of signs * ln_q(ops).  Outside
+    the band the bracket's displacement from 1, q times that sum, is
+    summed on its own for accuracy at small couplings, or in log space
+    where a power x^q passes the float range."""
+    signs = np.reshape(signs, (-1,) + (1,) * (ops.ndim - 1))
     if abs(q) <= COUPLING_EPS:
-        return exp_q(q, sum(ln_q(q, x) for x in xs)
-                     - sum(ln_q(q, y) for y in ys))
-    es = [(q * math.log(v), s) for vs, s in ((xs, 1), (ys, -1)) for v in vs]
-    with np.errstate(over="ignore"):
-        try:
-            shift = sum(s * math.expm1(e) for e, s in es)
-        except OverflowError:
+        return _exp_q(q, (signs * _ln_q(q, ops)).sum(axis=0))
+    e = q * np.log(ops)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        shift = (signs * np.expm1(e)).sum(axis=0)
+        out = _exp_q_exact(q, shift)
+        far = ~np.isfinite(shift)
+        if far.any():
             # the bracket 1 + shift scaled by e^-m, m the largest exponent
             # q log x > 709, where the 1 is below rounding
-            m = max(e for e, _ in es)
-            scaled = math.fsum(s * math.exp(e - m) for e, s in es)
-            if scaled <= 0.0:
-                return 0.0 if q > 0.0 else math.inf
-            return float(np.exp((m + math.log(scaled)) / q))
-        return float(_exp_q_exact(q, np.array([shift], dtype=float))[0])
+            m = e.max(axis=0)
+            scaled = (signs * np.exp(e - m)).sum(axis=0)
+            log_space = np.where(scaled > 0.0, np.exp((m + np.log(scaled)) / q),
+                                 0.0 if q > 0.0 else math.inf)
+            out = np.where(far, log_space, out)
+    return out
 
 
 def power_rescale(q, x, p) -> tuple[float, float]:
@@ -298,66 +320,83 @@ def power_rescale(q, x, p) -> tuple[float, float]:
 
 
 def exp_q_complex(q, z) -> complex:
-    """Principal-branch deformed exponential of a complex argument.
+    """Principal-branch deformed exponential of a complex argument, the
+    scalar face of exp_q_imag's kernel.
 
     The branch cut sits where 1 + q*z is on the nonpositive real axis;
-    evaluation exactly on the cut raises BranchCutError.
+    evaluation exactly on the cut raises BranchCutError, and a value
+    past the float range NumericsError.
     """
     q = coupling_value(q)
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise DomainError("z must be finite")
-    try:
-        if abs(q) <= COUPLING_EPS and abs(q * z) <= _SMALL_QX:
-            out = cmath.exp(z * (1.0 - 0.5 * q * z))
-        else:
-            w = 1.0 + q * z
-            if w.imag == 0.0 and w.real <= 0.0:
-                raise BranchCutError("1 + q*z on the nonpositive real axis")
-            out = w ** (1.0 / q)
-    except OverflowError:
-        out = complex(math.nan, math.nan)
+    if q * z.imag == 0.0 and 1.0 + q * z.real <= 0.0:
+        raise BranchCutError("1 + q*z on the nonpositive real axis")
+    out = complex(_exp_q_z(q, z.real, np.array([z.imag]))[0])
     if not (math.isfinite(out.real) and math.isfinite(out.imag)):
         raise NumericsError(f"exp_q_complex(q={q}, z={z}) leaves the float range")
     return out
 
 
 def exp_q_imag(q, y, scale=1.0):
-    """scale * exp_q(i*y) for real finite y, in real arithmetic.
-
-    The base 1 + i*q*y has modulus sqrt(1 + (q*y)^2) and angle
-    arctan(q*y), and never touches the branch cut, so exp_q(i*y) is
-    (1 + (q*y)^2)^(1/2q) exp(i arctan(q*y)/q), and exp_q(-i*y) is its
-    conjugate.  The band |q| <= COUPLING_EPS uses the continuation
-    exp(i*y*(1 - i*q*y/2)) = exp(q*y^2/2) exp(i*y), which keeps the first
-    order in q while |q*y| <= sqrt(eps); past that the band too takes
-    the exact form.  scale broadcasts against y; the result is a complex
-    array of y's shape.
+    """scale * exp_q(i*y) for real finite y, in real arithmetic: the
+    z = i*y case of the kernel behind exp_q_complex, whose base 1 + i*q*y
+    never touches the branch cut.  exp_q(-i*y) is the conjugate of
+    exp_q(i*y).  scale broadcasts against y; the result is a complex
+    array of their broadcast shape.
     """
     q = coupling_value(q)
-    y = np.asarray(y, dtype=float)
+    return _exp_q_z(q, 0.0, np.asarray(y, dtype=float), scale)
+
+
+def _exp_q_z(q: float, x, y: np.ndarray, scale=1.0) -> np.ndarray:
+    """scale * exp_q(x + i*y) for finite x and y broadcast against each
+    other, from the polar form of 1 + q*z.  On the imaginary axis, a
+    scalar x = 0, the terms in x are exact identities and are skipped."""
+    on_axis = np.ndim(x) == 0 and x == 0.0
     # past the float range the modulus saturates to inf (or 0)
-    with np.errstate(over="ignore"):
-        t = q * y
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        u, t = q * x, q * y
         if abs(q) > COUPLING_EPS:
-            modulus, angle = _imag_polar(q, t)
+            log_mod, angle = _polar(q, u, t, on_axis)
         else:
-            modulus, angle = np.exp(0.5 * q * y * y), y
-            far = np.abs(t) > _IMAG_QY
+            # z (1 - q z/2): real part x (1 - q x/2) + q y^2/2, imaginary
+            # part y (1 - q x)
+            log_mod, angle = 0.5 * q * y * y, y
+            if not on_axis:
+                log_mod, angle = log_mod + x * (1.0 - 0.5 * u), angle * (1.0 - u)
+            far = (np.abs(t) if on_axis else np.hypot(u, t)) > _BAND_QZ
             if far.any():
-                exact_modulus, exact_angle = _imag_polar(q, t)
-                modulus = np.where(far, exact_modulus, modulus)
+                exact_log_mod, exact_angle = _polar(q, u, t, on_axis)
+                log_mod = np.where(far, exact_log_mod, log_mod)
                 angle = np.where(far, exact_angle, angle)
-        r = scale * modulus
-    out = np.empty(y.shape, dtype=complex)
-    out.real = r * np.cos(angle)
-    out.imag = r * np.sin(angle)
+        r = scale * np.exp(log_mod)
+        out = np.empty(np.shape(r), dtype=complex)
+        out.real = r * np.cos(angle)
+        out.imag = r * np.sin(angle)
     return out
 
 
-def _imag_polar(q: float, t: np.ndarray):
-    """Modulus and angle of exp_q(i*y) from t = q*y, for q != 0."""
-    return np.exp(np.log1p(t * t) / (2.0 * q)), np.arctan(t) / q
+def _polar(q: float, u, t, on_axis: bool):
+    """log|exp_q(z)| and arg exp_q(z) from u + i*t = q*z, for q != 0."""
+    # log |1 + q z|^2, from |1 + q z|^2 - 1, which log1p keeps accurate
+    # near z = 0
+    log_sq = np.log1p(t * t if on_axis else u * (2.0 + u) + t * t)
+    if log_sq.max(initial=0.0) == math.inf:
+        # the square overflows past |q z| ~ 1.3e154; hypot does not
+        log_sq = np.where(log_sq == math.inf, 2.0 * np.log(np.hypot(1.0 + u, t)), log_sq)
+    if on_axis:
+        angle = np.arctan(t)
+    else:
+        # arctan gives the angle of 1 + q z right of the branch point;
+        # left of it the angle moves by pi, with the sign of t
+        a = 1.0 + u
+        angle = np.arctan(t / a) + np.where(a < 0.0, np.copysign(np.pi, t), 0.0)
+    # in place: these arrays can be large, and fresh ones cost page faults
+    log_sq /= 2.0 * q
+    angle /= q
+    return log_sq, angle
 
 
 def sin_q(q, x):
@@ -401,11 +440,14 @@ def dn_exp_q(q, a, n, x):
     q = coupling_value(q)
     a = _finite(a, "a")
     n = _positive_int(n)
-    coeff = a ** n
+    with np.errstate(over="ignore"):
+        coeff = float(np.float64(a) ** n)
     for i in range(1, n + 1):
         if abs(1.0 - i * q) <= _POLE_EPS * i:
             raise PoleError(f"coupling at derivative pole q = 1/{i}")
         coeff *= 1.0 - (i - 1) * q
+    if not math.isfinite(coeff):
+        raise NumericsError(f"the order-{n} coefficient leaves the float range")
     scale = 1.0 - n * q
     return coeff * exp_q(q / scale, scale * a * x)
 
@@ -423,12 +465,15 @@ def intn_exp_q(q, a, n, x):
     n = _positive_int(n)
     if a == 0.0:
         raise DomainError("intn_exp_q requires a != 0")
-    coeff = a ** -n
+    with np.errstate(over="ignore"):
+        coeff = float(np.float64(a) ** -n)
     for i in range(1, n + 1):
         den = 1.0 + i * q
         if abs(den) <= _POLE_EPS * i:
             raise PoleError(f"coupling at antiderivative pole q = -1/{i}")
         coeff /= den
+    if not math.isfinite(coeff):
+        raise NumericsError(f"the order-{n} coefficient leaves the float range")
     scale = 1.0 + n * q
     return coeff * exp_q(q / scale, scale * a * x)
 

@@ -36,9 +36,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._quadrature import cosine_quad, line_quad
-from .errors import DomainError, PoleError, UnsupportedInputError
-from .qcore import COUPLING_EPS, coupling_value, exp_q, exp_q_imag, ln_q, sinc_q
+from ._quadrature import _X_END, cosine_quad, line_quad
+from .errors import DomainError, NumericsError, PoleError, UnsupportedInputError
+from .qcore import (COUPLING_EPS, coupling_value, exp_q, exp_q_imag, exp_q_neg_power,
+                    ln_q, sinc_q)
 from .qdist import DensityGrid, QAlphaFamily, QFamily, c_q
 from .qseq import conj_tilde, z_n
 
@@ -116,13 +117,20 @@ class ClosedFormQGaussian:
         return self.q_out <= -2.0
 
     def evaluate(self, ws):
-        w = np.asarray(ws, dtype=float)
-        return self.amplitude * exp_q(self.q_out, -self.width * w * w)
+        return self.amplitude * exp_q_neg_power(self.q_out, self.width, ws)
 
     def to_result(self, ws) -> TransformResult:
         ws = np.atleast_1d(np.asarray(ws, dtype=float))
         return TransformResult(
             ws, self.evaluate(ws), "closed-form", np.zeros(ws.shape), self.q_out)
+
+
+def _in_range(value, what: str):
+    """value, which must be finite: a factor that leaves the float range
+    raises NumericsError rather than spreading inf or nan."""
+    if not np.isfinite(value).all():
+        raise NumericsError(f"{what} leaves the float range")
+    return value
 
 
 def _checked_ws(ws) -> np.ndarray:
@@ -138,7 +146,9 @@ def _kernel(q: float, x: np.ndarray, v: np.ndarray, ws: np.ndarray) -> np.ndarra
     out = np.zeros((x.size, ws.size), dtype=complex)
     pos = v > 0.0
     v = v[pos]
-    y = (x[pos] * np.exp(-q * np.log(v)))[:, None] * ws
+    with np.errstate(over="ignore"):
+        stretch = _in_range(np.exp(-q * np.log(v)), "the kernel's v^-q")
+    y = (x[pos] * stretch)[:, None] * ws
     out[pos] = exp_q_imag(q, y, v[:, None])
     return out
 
@@ -147,8 +157,27 @@ def _direct_numeric(shape, q: float, ws: np.ndarray):
     """Adaptive quadrature of the kernel over the shape's plan, all
     frequencies in one pass."""
     core, tail_power, points = shape.plan()
-    return line_quad(lambda x: _kernel(q, x, shape.value(x), ws), core,
-                     tail_power=tail_power, points=points)
+    vals, errs = line_quad(lambda x: _kernel(q, x, shape.value(x), ws), core,
+                           tail_power=tail_power, points=points)
+    if tail_power is not None:
+        errs = errs + _remainder_drift(shape, q, ws, tail_power)
+    return vals, errs
+
+
+def _remainder_drift(shape: QFamily, q: float, ws: np.ndarray, tail_power: float):
+    """Bound on what line_quad's power-law remainder past X = _X_END
+    misses: past X only v is a power, while y = x w v^-q of the kernel
+    v exp_q(i y) goes as x^(1 - alpha).  For q <= 0, exp_q(i y) has
+    modulus and slope at most 1, so the miss is at most min(2, drift of
+    y past X) times the family's mass 2 X v(X)/|p + 1| past X."""
+    v_end = shape.value(np.array([_X_END]))[0]
+    mass = 2.0 * _X_END * v_end / -(tail_power + 1.0)
+    if shape.alpha == 1.0 or mass == 0.0:
+        return 0.0
+    with np.errstate(over="ignore"):
+        drift = _X_END * np.abs(ws) * np.exp(-q * np.log(v_end))
+    # y(X) - y(inf) is y(X) when alpha > 1 and unbounded when alpha < 1
+    return np.minimum(2.0, drift if shape.alpha > 1.0 else np.inf) * mass
 
 
 def _cosine_numeric(shape: QFamily, ws: np.ndarray):
@@ -274,7 +303,11 @@ def qft_qgaussian_closed(a, beta, q) -> ClosedFormQGaussian:
     coupling z_1(q)."""
     f = QGaussianShape(q, a, beta)
     amp = f.a * c_q(f.q) / math.sqrt(f.beta)
-    width = (2.0 + f.q) / (8.0 * f.beta * f.a ** (2.0 * f.q))
+    with np.errstate(over="ignore", divide="ignore"):
+        width = float((2.0 + f.q) / (8.0 * f.beta * np.float64(f.a) ** (2.0 * f.q)))
+    if not (math.isfinite(amp) and 0.0 < width < math.inf):
+        raise NumericsError(
+            f"closed form leaves the float range: amplitude {amp:g}, width {width:g}")
     return ClosedFormQGaussian(amp, width, z_n(f.q, 1))
 
 
@@ -286,7 +319,8 @@ def qft_uniform_closed(q, w):
         raise DomainError(f"coupling {q} <= -2 is outside the domain")
     if abs(1.0 + q) <= 1e-12:
         raise PoleError("uniform closed form has a pole at coupling -1")
-    arg_scale = (1.0 + q) * 2.0 ** q
+    with np.errstate(over="ignore"):
+        arg_scale = _in_range((1.0 + q) * np.float64(2.0) ** q, "argument scale")
     return sinc_q(z_n(q, 2), arg_scale * np.asarray(w, dtype=float))
 
 
@@ -325,5 +359,6 @@ def cqft_uniform_closed(q, w):
     if abs(1.0 + q) <= 1e-12:
         raise PoleError("conjugate uniform closed form has a pole at coupling -1")
     q2 = z_n(q, 2)
-    arg_scale = (1.0 - q2) * 2.0 ** (-q2)
+    with np.errstate(over="ignore"):
+        arg_scale = _in_range((1.0 - q2) * np.float64(2.0) ** (-q2), "argument scale")
     return sinc_q(-q, arg_scale * np.asarray(w, dtype=float))

@@ -16,6 +16,7 @@ parameterization and the one-minus convention.
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
 
 from .errors import DomainError, PoleError
@@ -27,6 +28,8 @@ _POLE_TOL = 1e-14
 def _ratio(alpha: float, q: float, n, what: str) -> float:
     """alpha*q/(alpha + n*q), the form of every map here; where a product
     overflows, 1/(1/q + n/alpha), which has no pole there."""
+    if abs(n) > sys.float_info.max:
+        raise DomainError("sequence index n is outside the float range")
     num, den = alpha * q, alpha + n * q
     if math.isinf(num) or math.isinf(den):
         return 1.0 / (1.0 / q + n / alpha)

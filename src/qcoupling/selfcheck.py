@@ -50,10 +50,8 @@ def _check_arithmetic():
         keep = (1.0 + q * np.array([x, y, x + y]) >= 1e-3).all(axis=0)
         x, y = x[keep], y[keep]
         ex, ey, both = exp_q(q, x), exp_q(q, y), exp_q(q, x + y)
-        s = np.array([q_add(q, a, b) for a, b in zip(x, y)])
-        prod = np.array([q_prod(q, a, b) for a, b in zip(ex, ey)])
-        back = np.array([q_sub(q, a, b) for a, b in zip(s, y)])
-        quot = np.array([q_div(q, p, b) for p, b in zip(prod, ey)])
+        s, prod = q_add(q, x, y), q_prod(q, ex, ey)
+        back, quot = q_sub(q, s, y), q_div(q, prod, ey)
         detail = _first_failure(q, [
             ("product rule failed",
              np.abs(ex * ey - exp_q(q, s)) > 1e-10 * (1.0 + ex * ey)),

@@ -94,6 +94,32 @@ class TestExitCodes:
         code, out, err = run_cli(args, capsys)
         assert (code, out.strip(), err) == (0, want, "")
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("args, error", [
+        (["transform", "gaussian", "--q", "-1.5", "--a", "1e300"], "NumericsError"),
+        (["transform", "gaussian", "--q", "-1.5", "--a", "1e-300"], "NumericsError"),
+        (["transform", "gaussian", "--q", "3", "--a", "1e300"], "NumericsError"),
+        (["transform", "gaussian", "--q", "-1.5", "--a", "1e300", "--method",
+          "numeric"], "NumericsError"),
+        (["transform", "uniform", "--q", "1e5"], "NumericsError"),
+        (["transform", "uniform", "--q", "1e5", "--method", "numeric"],
+         "NumericsError"),
+        (["transform", "uniform", "--q", "-0.9999999999", "--conjugate"],
+         "NumericsError"),
+        (["eval", "intn_exp_q", "--q", "0.5", "--x", "1", "--n", "3000", "--a",
+          "1e-300"], "NumericsError"),
+        (["eval", "dn_exp_q", "--q", "-0.5", "--x", "1", "--n", "3000", "--a",
+          "1e300"], "NumericsError"),
+        (["seq", "z", "--q", "1e3", "--n", "1" + "0" * 400], "DomainError"),
+    ], ids=["gaussian_wide", "gaussian_narrow", "gaussian_compact",
+            "gaussian_numeric", "uniform", "uniform_numeric", "uniform_conjugate",
+            "intn_exp_q", "dn_exp_q", "seq_z"])
+    def test_typed_errors_past_the_float_range(self, capsys, args, error):
+        # a factor such as a^(2q), 2^q, a^-n or n*q leaves the float range
+        code, out, err = run_cli(args, capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"{error}: ")
+
     def test_tiny_dt_is_domain_error(self, capsys):
         code, out, err = run_cli(["simulate", "--seed", "1", "--dt", "1e-320"],
                                  capsys)

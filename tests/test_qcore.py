@@ -319,6 +319,21 @@ class TestDeformedArithmetic:
         # x^q overflows while [x^q +- y^q -+ 1]^(1/q) does not
         assert f(q, x, y) == pytest.approx(want, rel=1e-12)
 
+    def test_broadcast_matches_scalar_calls(self):
+        # x and y broadcast against each other; each entry, the support
+        # edges 0 and inf included, is the scalar call's float
+        xs = np.array([[0.04], [0.5], [2.0], [4.0]])
+        ys = np.array([0.25, 3.0, 4.0])
+        for q in (-1.0, 1e-11, 0.5, 2.0):
+            for op in (q_add, q_sub, q_prod, q_div):
+                got = op(q, xs, ys)
+                assert got.shape == (4, 3)
+                want = [[op(q, float(x), float(y)) for y in ys] for x in xs[:, 0]]
+                np.testing.assert_array_equal(got, want)
+        assert q_prod(0.5, xs, ys)[0, 0] == 0.0     # 0.2 + 0.5 - 1 < 0
+        assert q_div(0.5, xs, ys)[0, 2] == 0.0      # 0.2 - 2 + 1 < 0
+        assert q_prod(-1.0, xs, ys)[2, 2] == math.inf  # 0.5 + 0.25 - 1 < 0
+
     @given(q=couplings, x=small_reals, p=st.floats(min_value=0.2, max_value=5.0))
     @settings(max_examples=300)
     def test_power_rescale_identity(self, q, x, p):
@@ -371,6 +386,39 @@ class TestComplexAndTrig:
             np.testing.assert_allclose(exp_q_imag(q, ys), want, rtol=1e-13)
             np.testing.assert_allclose(exp_q_imag(q, ys, 0.25), 0.25 * np.array(want),
                                        rtol=1e-13)
+
+    @pytest.mark.parametrize("q, y", [(-1.5, 1e200), (-1.9, 1e155), (-1.2, -1e300)])
+    def test_imaginary_argument_past_the_square_range(self, q, y):
+        # (q y)^2 overflows past |q y| ~ 1.3e154, while the modulus
+        # (1 + (q y)^2)^(1/2q) of a heavy tail stays a float
+        mp = pytest.importorskip("mpmath")
+        got = exp_q_imag(q, [y])[0]
+        with mp.workdps(40):
+            want = (1 + 1j * mp.mpf(q) * mp.mpf(y)) ** (1 / mp.mpf(q))
+            assert abs(got - want) <= 1e-13 * abs(want)
+
+    @pytest.mark.parametrize("q", [1e-10, -1e-10, 3e-11, -7e-11])
+    def test_band_switch_against_mpmath(self, q):
+        # one switch from the continuation to the exact form, at
+        # |q z| = sqrt(eps), for real, imaginary and complex z: on both
+        # sides the error stays at the rounding of an exponent or phase of
+        # size |z|.  The parent's 1e-3 switch missed this by 2e3 at 1e6j.
+        mp = pytest.importorskip("mpmath")
+        eps = np.finfo(float).eps
+        edge = qcore._BAND_QZ / abs(q)
+        xs = np.concatenate((np.linspace(-700.0, 700.0, 141),
+                             edge * np.array([-1.01, -0.99, 0.99, 1.01])))
+        ys = np.concatenate((edge * np.array([0.5, 0.99, 1.01, 2.0]), [1e6, 3e6]))
+        zs = [complex(x, y) for x in (-300.0, 0.7 * edge) for y in (-0.9 * edge, 1.1 * edge)]
+        zs += [-300 + 1e6j, 200 - 3e6j]
+        got = [(complex(x), v) for x, v in zip(xs, exp_q(q, xs))]
+        got += [(complex(0.0, y), v) for y, v in zip(ys, exp_q_imag(q, ys))]
+        got += [(z, exp_q_complex(q, z)) for z in [*xs[::10], *(1j * ys), *zs]]
+        with mp.workdps(40):
+            mq = mp.mpf(q)
+            for z, v in got:
+                want = (1 + mq * mp.mpc(z)) ** (1 / mq)
+                assert abs(v - want) <= 4 * eps * (1 + abs(z)) * abs(want), z
 
     def test_sin_classical(self):
         assert sin_q(0.0, math.pi / 2) == pytest.approx(1.0, rel=1e-15)
@@ -565,7 +613,7 @@ def coupling_and_argument(draw):
     if kind == "switch" and q != 0.0:
         # |q x| near the switch between the continuation and the exact form
         scale = draw(st.floats(min_value=0.5, max_value=2.0))
-        return q, draw(st.sampled_from([1.0, -1.0])) * scale * qcore._SMALL_QX / q
+        return q, draw(st.sampled_from([1.0, -1.0])) * scale * qcore._BAND_QZ / q
     if kind == "any":
         return q, draw(st.floats(allow_nan=False, allow_infinity=False))
     return q, draw(st.floats(min_value=-50.0, max_value=50.0))
@@ -580,6 +628,18 @@ class TestScalarArrayParity:
         if kernel is ln_q:
             x = abs(x)
         _assert_scalar_parity(lambda v: kernel(q, v), x)
+
+    @pytest.mark.parametrize("op", [q_add, q_sub, q_prod, q_div])
+    @given(qx=coupling_and_argument(), y=st.one_of(
+        st.floats(min_value=-50.0, max_value=50.0),
+        st.floats(allow_nan=False, allow_infinity=False)))
+    @settings(max_examples=300)
+    def test_arithmetic_scalar_is_float_equal_to_array(self, op, qx, y):
+        q, x = qx
+        if op in (q_prod, q_div):
+            x, y = abs(x), abs(y)
+        _assert_scalar_parity(lambda v: op(q, v, y), x)
+        _assert_scalar_parity(lambda v: op(q, x, v), y)
 
     @given(
         q=parity_couplings,

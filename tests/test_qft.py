@@ -545,6 +545,19 @@ class TestBatchedRoutesAgainstOracle:
             want = [_oracle(f, q, w, self.TAIL) for w in ORACLE_WS]
         self._check(res, want)
 
+    @pytest.mark.parametrize("q, w", [(-1.5, 1e300), (-1.9, 1e151), (-1.9, 1e300)])
+    def test_far_frequency_bound(self, q, w):
+        # past |x| = 1e150 the kernel of a frequency past ~1e150 has not
+        # reached its power law, so the tail's remainder misses mass; the
+        # error must still bound that miss.  Oracle: the closed form in
+        # 40 digits.
+        form = qft_qgaussian_closed(1.0, 1.0, q)
+        res = qft_numeric(QGaussianShape(q), q, [w])
+        with mp.workdps(40):
+            qo = mp.mpf(form.q_out)
+            want = form.amplitude * (1 - qo * form.width * mp.mpf(w) ** 2) ** (1 / qo)
+            assert abs(res.values[0] - want) <= res.errors[0]
+
     @pytest.mark.parametrize("q", [-0.5, 0.3])
     def test_uniform(self, q):
         res = qft_numeric(UniformShape(), q, ORACLE_WS)
