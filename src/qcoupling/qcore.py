@@ -227,6 +227,7 @@ def _q_sub(q: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def q_add_n(q, xs) -> float:
     """Left fold of q_add over a sequence; empty input gives 0."""
+    q = coupling_value(q)
     return reduce(partial(q_add, q), xs, 0.0)
 
 
@@ -236,7 +237,7 @@ def q_prod(q, x, y):
     Turns ordinary sums in the exponent into products:
     exp_q(x + y) = q_prod(q, exp_q(x), exp_q(y)).
     """
-    return _binary(_q_prod, q, x, y)
+    return _binary(_q_prod, q, x, y, ("operand", "operand"))
 
 
 def _q_prod(q: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -258,25 +259,30 @@ def q_prod_n(q, xs) -> float:
     """Deformed product [sum of x^q - (n - 1)]_+^(1/q) of n positive
     operands; empty input gives 1."""
     q = coupling_value(q)
-    ops = _positive("q_prod", np.asarray(list(xs), dtype=float).reshape(-1, 1))
-    return float(_exp_q_of_ln_sum(q, ops)[0])
+    ops = _finite_array(np.asarray(list(xs), dtype=float), "operand")
+    return float(_exp_q_of_ln_sum(q, _positive("q_prod", ops.reshape(-1, 1)))[0])
 
 
-def _binary(kernel, q, x, y):
+def _binary(kernel, q, x, y, names=("x", "y")):
     """kernel(q, x, y) through _scalar_or_array, on finite x and y
     broadcast against each other; past the float range a result
     saturates, as float arithmetic does."""
+    q = coupling_value(q)
     x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-    for v, name in ((x, "x"), (y, "y")):
-        if not np.isfinite(v).all():
-            raise DomainError(f"{name} must be finite")
+    for v, name in zip((x, y), names):
+        _finite_array(v, name)
     with np.errstate(over="ignore", invalid="ignore"):
         return _scalar_or_array(kernel, q, x, np.atleast_1d(y))
 
 
+def _finite_array(values: np.ndarray, name: str) -> np.ndarray:
+    bad = ~np.isfinite(values)
+    if bad.any():
+        _finite(values[bad][0], name)
+    return values
+
+
 def _positive(what: str, ops: np.ndarray) -> np.ndarray:
-    if not np.isfinite(ops).all():
-        raise DomainError(f"{what} operands must be finite")
     if not (ops > 0.0).all():
         raise DomainError(f"{what} requires positive operands")
     return ops
@@ -350,11 +356,11 @@ def exp_q_imag(q, y, scale=1.0):
     return _exp_q_z(q, 0.0, np.asarray(y, dtype=float), scale)
 
 
-def _exp_q_z(q: float, x, y: np.ndarray, scale=1.0) -> np.ndarray:
-    """scale * exp_q(x + i*y) for finite x and y broadcast against each
-    other, from the polar form of 1 + q*z.  On the imaginary axis, a
-    scalar x = 0, the terms in x are exact identities and are skipped."""
-    on_axis = np.ndim(x) == 0 and x == 0.0
+def _exp_q_z(q: float, x: float, y: np.ndarray, scale=1.0) -> np.ndarray:
+    """scale * exp_q(x + i*y) for finite x and y, from the polar form of
+    1 + q*z.  On the imaginary axis, x = 0, the terms in x are exact
+    identities and are skipped."""
+    on_axis = x == 0.0
     # past the float range the modulus saturates to inf (or 0)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         u, t = q * x, q * y
@@ -378,21 +384,32 @@ def _exp_q_z(q: float, x, y: np.ndarray, scale=1.0) -> np.ndarray:
     return out
 
 
-def _polar(q: float, u, t, on_axis: bool):
+def _polar(q: float, u: float, t: np.ndarray, on_axis: bool):
     """log|exp_q(z)| and arg exp_q(z) from u + i*t = q*z, for q != 0."""
-    # log |1 + q z|^2, from |1 + q z|^2 - 1, which log1p keeps accurate
-    # near z = 0
-    log_sq = np.log1p(t * t if on_axis else u * (2.0 + u) + t * t)
-    if log_sq.max(initial=0.0) == math.inf:
-        # the square overflows past |q z| ~ 1.3e154; hypot does not
-        log_sq = np.where(log_sq == math.inf, 2.0 * np.log(np.hypot(1.0 + u, t)), log_sq)
+    # log |1 + q z|^2 is log1p of |1 + q z|^2 - 1, accurate near z = 0,
+    # except where that square overflows, past |q z| ~ 1.3e154, or, off
+    # the axis, cancels to about -1 near the branch point; there it is
+    # 2 log hypot(1 + q x, q y)
     if on_axis:
+        # the overflow flag of t*t, not a pass over the array, tells
+        try:
+            with np.errstate(over="raise"):
+                log_sq = np.log1p(t * t)
+            far = False
+        except FloatingPointError:
+            log_sq = np.log1p(t * t)
+            far = log_sq == math.inf
         angle = np.arctan(t)
     else:
+        sq = u * (2.0 + u) + t * t
+        far = (sq == math.inf) | (sq < -0.5)
+        log_sq = np.log1p(sq)
         # arctan gives the angle of 1 + q z right of the branch point;
         # left of it the angle moves by pi, with the sign of t
         a = 1.0 + u
         angle = np.arctan(t / a) + np.where(a < 0.0, np.copysign(np.pi, t), 0.0)
+    if np.any(far):
+        log_sq = np.where(far, 2.0 * np.log(np.hypot(1.0 + u, t)), log_sq)
     # in place: these arrays can be large, and fresh ones cost page faults
     log_sq /= 2.0 * q
     angle /= q

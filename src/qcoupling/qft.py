@@ -167,17 +167,23 @@ def _direct_numeric(shape, q: float, ws: np.ndarray):
 def _remainder_drift(shape: QFamily, q: float, ws: np.ndarray, tail_power: float):
     """Bound on what line_quad's power-law remainder past X = _X_END
     misses: past X only v is a power, while y = x w v^-q of the kernel
-    v exp_q(i y) goes as x^(1 - alpha).  For q <= 0, exp_q(i y) has
-    modulus and slope at most 1, so the miss is at most min(2, drift of
-    y past X) times the family's mass 2 X v(X)/|p + 1| past X."""
+    v exp_q(i y) goes as x^k, k = 1 - q*tail_power.  For q <= 0, exp_q(i y)
+    has modulus and slope at most 1, so the miss is at most min(2, drift
+    of y past X) times the family's mass 2 X v(X)/|p + 1| past X."""
     v_end = shape.value(np.array([_X_END]))[0]
     mass = 2.0 * _X_END * v_end / -(tail_power + 1.0)
-    if shape.alpha == 1.0 or mass == 0.0:
+    # tail_power is alpha/shape.q; this order gives k = 0 exactly for
+    # alpha = 1 at the family's own coupling
+    k = 1.0 - q / shape.q * shape.alpha
+    if k == 0.0 or mass == 0.0:
         return 0.0
+    if k > 0.0:
+        # y grows without limit
+        return 2.0 * mass
+    # y falls to 0, so it drifts by y(X)
     with np.errstate(over="ignore"):
         drift = _X_END * np.abs(ws) * np.exp(-q * np.log(v_end))
-    # y(X) - y(inf) is y(X) when alpha > 1 and unbounded when alpha < 1
-    return np.minimum(2.0, drift if shape.alpha > 1.0 else np.inf) * mass
+    return np.minimum(2.0, drift) * mass
 
 
 def _cosine_numeric(shape: QFamily, ws: np.ndarray):

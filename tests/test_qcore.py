@@ -231,6 +231,18 @@ class TestDeformedArithmetic:
         s = q_add(q, x, y)
         assert rel_close(q_sub(q, s, y), x, 1e-12)
 
+    @pytest.mark.parametrize("f, args, message", [
+        (q_add, (0.0, math.inf, 1.0), "x must be finite, got inf"),
+        (q_sub, (0.5, 1.0, math.nan), "y must be finite, got nan"),
+        (q_prod, (0.5, 2.0, -math.inf), "operand must be finite, got -inf"),
+        (q_prod_n, (0.5, [1.0, math.nan]), "operand must be finite, got nan"),
+        (q_div, (0.5, math.inf, 1.0), "x must be finite, got inf"),
+        (q_add_n, (math.nan, []), "coupling q must be finite, got nan"),
+    ])
+    def test_domain_messages(self, f, args, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            f(*args)
+
     @given(q=couplings, x=st.floats(min_value=0.1, max_value=10.0), y=st.floats(min_value=0.1, max_value=10.0))
     @example(q=3.0, x=0.1, y=8.0)
     @settings(max_examples=300)
@@ -395,6 +407,18 @@ class TestComplexAndTrig:
         got = exp_q_imag(q, [y])[0]
         with mp.workdps(40):
             want = (1 + 1j * mp.mpf(q) * mp.mpf(y)) ** (1 / mp.mpf(q))
+            assert abs(got - want) <= 1e-13 * abs(want)
+
+    @pytest.mark.parametrize("q, z", [
+        (0.5, -2 + 1e-9j), (0.5, -2 - 1e-9j), (-0.5, 2 + 1e-9j),
+        (0.25, -4 + 3e-5j), (2.0, -0.5 + 1e-300j), (0.5, -3 + 1e-3j),
+    ])
+    def test_complex_argument_near_the_branch_point(self, q, z):
+        # |1 + q z|^2 - 1 cancels to -1 there; the modulus must not
+        mp = pytest.importorskip("mpmath")
+        got = exp_q_complex(q, z)
+        with mp.workdps(40):
+            want = (1 + mp.mpf(q) * mp.mpc(z)) ** (1 / mp.mpf(q))
             assert abs(got - want) <= 1e-13 * abs(want)
 
     @pytest.mark.parametrize("q", [1e-10, -1e-10, 3e-11, -7e-11])

@@ -32,6 +32,7 @@ from qcoupling.qft import (
     qft_qgaussian_closed,
     qft_uniform_closed,
 )
+from qcoupling.qft import _remainder_drift
 from qcoupling.qseq import conj_hat, conj_tilde, z_n
 
 WS = np.linspace(-5.0, 5.0, 41)
@@ -557,6 +558,15 @@ class TestBatchedRoutesAgainstOracle:
             qo = mp.mpf(form.q_out)
             want = form.amplitude * (1 - qo * form.width * mp.mpf(w) ** 2) ** (1 / qo)
             assert abs(res.values[0] - want) <= res.errors[0]
+
+    def test_remainder_drift_follows_the_kernel_power(self):
+        # past x = 1e150 the kernel's y = x w v^-q goes as x^(1 - q p),
+        # p = alpha/shape.q: constant at the alpha = 1 family's own
+        # coupling, growing without limit at a smaller |q|
+        f = QAlphaShape(-0.5, 1.0)
+        ws, tail_power = np.array([1e200]), f.plan()[1]
+        assert _remainder_drift(f, -0.5, ws, tail_power) == 0.0
+        assert _remainder_drift(f, -0.25, ws, tail_power) > 0.0
 
     @pytest.mark.parametrize("q", [-0.5, 0.3])
     def test_uniform(self, q):
