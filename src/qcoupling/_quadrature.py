@@ -15,11 +15,12 @@ left whole hold less than an eighth of the tolerance, but never so many
 that one call exceeds 2^19 values; refinement stops once every entry's
 error is below that eighth, or at 2000 intervals.
 
-The whole line is folded onto x >= 0.  Power-law tails are never
+line_quad takes an even integrand and returns twice its integral over
+x >= 0, so no node is placed at x < 0.  Power-law tails are never
 truncated: the tail [X0, inf) is mapped onto (0, 1] by x = X0 * s^-m,
 with m chosen large enough that the transformed endpoint behavior
-s^(m|p+1| - 1) is smooth for an integrand decaying like x^p.  The map is
-followed out to x = 1e150, where x^2 is still a float; past it the
+s^(m|p+1| - 1) is smooth for an integrand decaying like x^p.  The map
+is followed out to x = 1e150, where x^2 is still a float; past it the
 integrand is a pure power law, whose remainder X f(X)/|p+1| at
 X = 1e150 is added analytically and counted in the error.
 
@@ -194,26 +195,22 @@ def tail_quad(fn, x0, tail_power):
 
 
 def line_quad(fn, core_halfwidth, tail_power=None, points=None):
-    """Integral of fn over the whole line: core on [-X0, X0] plus exact
-    power-substituted tails (omitted when the integrand is compactly
-    supported or decays faster than any power; then the core must
-    already contain everything that matters).  fn takes a 1-d array of
-    nodes and may be scalar- or array-valued per node; the error is an
-    absolute bound per entry.
+    """Integral of an even fn over the whole line, 2 * integral of fn
+    over [0, inf): the core [0, X0] plus an exact power-substituted tail
+    (omitted when the integrand is compactly supported or decays faster
+    than any power; then the core must already contain everything that
+    matters).  Only nodes x >= 0 are evaluated and points count by their
+    magnitude.  fn takes a 1-d array of nodes and may be scalar- or
+    array-valued per node; the error is an absolute bound per entry."""
 
-    The line is folded onto x >= 0, where fn(x) + fn(-x) is integrated:
-    an even integrand is refined once, and an odd part cancels pointwise
-    instead of being refined to zero."""
-
-    def folded(x):
-        v = np.asarray(fn(np.concatenate((x, -x))))
-        return v[: x.size] + v[x.size :]
+    def doubled(x):
+        return 2.0 * np.asarray(fn(x))
 
     if points is not None:
         points = {abs(p) for p in points}
-    val, err = _adaptive(folded, 0.0, core_halfwidth, points=points)
+    val, err = _adaptive(doubled, 0.0, core_halfwidth, points=points)
     if tail_power is not None:
-        tv, te = tail_quad(folded, core_halfwidth, tail_power)
+        tv, te = tail_quad(doubled, core_halfwidth, tail_power)
         val, err = val + tv, err + te
     return val, err
 

@@ -14,9 +14,10 @@ Branch conventions used throughout the package:
   used, for real and complex z alike.  q_prod and q_div are exp_q of the
   summed ln_q there.
 * exp_q off the real axis has one array kernel, in real arithmetic on
-  the polar form of 1 + q*z.  exp_q_imag is its z = i*y case, on which
-  sin_q, sinc_q and the transform kernel of qft are built;
-  exp_q_complex is its scalar face and raises on the branch cut.
+  the polar form of 1 + q*z.  exp_q_polar gives its z = i*y case as the
+  real pair (log modulus, angle), from which exp_q_imag, sin_q, sinc_q
+  and the transform kernel of qft are built; exp_q_complex is its
+  scalar face and raises on the branch cut.
 * A nonpositive base (1 + q*x <= 0) clamps to 0 when q > 0 (compact
   support) and maps to +inf when q < 0 (the divergent end of a heavy
   tail).  These are the only two ways the base can leave (0, inf).
@@ -195,13 +196,17 @@ def ln_q(q, x):
 def _ln_q(q: float, x: np.ndarray) -> np.ndarray:
     if not (np.isfinite(x).all() and (x > 0.0).all()):
         raise DomainError("ln_q requires finite x > 0")
-    if abs(q) <= COUPLING_EPS:
-        lx = np.log(x)
-        return lx * (1.0 + 0.5 * q * lx)
+    lx = np.log(x)
     # expm1 avoids the x^q - 1 cancellation for small q; past the float
     # range the value saturates to inf
     with np.errstate(over="ignore"):
-        return np.expm1(q * np.log(x)) / q
+        if abs(q) > COUPLING_EPS:
+            return np.expm1(q * lx) / q
+        out = lx * (1.0 + 0.5 * q * lx)
+        far = np.abs(q * lx) > _BAND_QZ
+        if far.any():
+            out[far] = np.expm1(q * lx[far]) / q
+    return out
 
 
 def q_add(q, x, y):
@@ -210,7 +215,15 @@ def q_add(q, x, y):
 
 
 def _q_add(q: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return x + y + q * x * y
+    out = x + y + q * x * y
+    # inf - inf: summed at the scale of the larger operand, the sum
+    # saturates with its true sign
+    bad = np.isnan(out)
+    if bad.any():
+        m = np.maximum(np.abs(x), np.abs(y))[bad]
+        u, v = x[bad] / m, y[bad] / m
+        out[bad] = m * (u + v + (q * m) * u * v)
+    return out
 
 
 def q_sub(q, x, y):
@@ -356,32 +369,45 @@ def exp_q_imag(q, y, scale=1.0):
     return _exp_q_z(q, 0.0, np.asarray(y, dtype=float), scale)
 
 
+def exp_q_polar(q, y):
+    """exp_q(i*y) = exp(log_mod) * e^(i*angle) for real finite y, as the
+    fresh real arrays (log_mod, angle) of y's shape."""
+    q = coupling_value(q)
+    return _log_polar(q, 0.0, np.asarray(y, dtype=float))
+
+
 def _exp_q_z(q: float, x: float, y: np.ndarray, scale=1.0) -> np.ndarray:
-    """scale * exp_q(x + i*y) for finite x and y, from the polar form of
-    1 + q*z.  On the imaginary axis, x = 0, the terms in x are exact
-    identities and are skipped."""
-    on_axis = x == 0.0
+    """scale * exp_q(x + i*y) for finite x and y."""
+    log_mod, angle = _log_polar(q, x, y)
     # past the float range the modulus saturates to inf (or 0)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        u, t = q * x, q * y
-        if abs(q) > COUPLING_EPS:
-            log_mod, angle = _polar(q, u, t, on_axis)
-        else:
-            # z (1 - q z/2): real part x (1 - q x/2) + q y^2/2, imaginary
-            # part y (1 - q x)
-            log_mod, angle = 0.5 * q * y * y, y
-            if not on_axis:
-                log_mod, angle = log_mod + x * (1.0 - 0.5 * u), angle * (1.0 - u)
-            far = (np.abs(t) if on_axis else np.hypot(u, t)) > _BAND_QZ
-            if far.any():
-                exact_log_mod, exact_angle = _polar(q, u, t, on_axis)
-                log_mod = np.where(far, exact_log_mod, log_mod)
-                angle = np.where(far, exact_angle, angle)
+    with np.errstate(over="ignore", invalid="ignore"):
         r = scale * np.exp(log_mod)
         out = np.empty(np.shape(r), dtype=complex)
         out.real = r * np.cos(angle)
         out.imag = r * np.sin(angle)
     return out
+
+
+def _log_polar(q: float, x: float, y: np.ndarray):
+    """log|exp_q(x + i*y)| and arg exp_q(x + i*y) for finite x and y,
+    from the polar form of 1 + q*z.  On the imaginary axis, x = 0, the
+    terms in x are exact identities and are skipped."""
+    on_axis = x == 0.0
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        u, t = q * x, q * y
+        if abs(q) > COUPLING_EPS:
+            return _polar(q, u, t, on_axis)
+        # z (1 - q z/2): real part x (1 - q x/2) + q y^2/2, imaginary
+        # part y (1 - q x)
+        log_mod, angle = 0.5 * q * y * y, y.copy()
+        if not on_axis:
+            log_mod, angle = log_mod + x * (1.0 - 0.5 * u), angle * (1.0 - u)
+        far = (np.abs(t) if on_axis else np.hypot(u, t)) > _BAND_QZ
+        if far.any():
+            exact_log_mod, exact_angle = _polar(q, u, t, on_axis)
+            log_mod = np.where(far, exact_log_mod, log_mod)
+            angle = np.where(far, exact_angle, angle)
+    return log_mod, angle
 
 
 def _polar(q: float, u: float, t: np.ndarray, on_axis: bool):
@@ -428,7 +454,9 @@ def sin_q(q, x):
 def _sin_q(q: float, x: np.ndarray) -> np.ndarray:
     if not np.isfinite(x).all():
         raise DomainError("x must be finite")
-    s = exp_q_imag(q, x).imag
+    log_mod, angle = _log_polar(q, 0.0, x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = np.exp(log_mod) * np.sin(angle)
     if not np.isfinite(s).all():
         raise NumericsError(f"sin_q at coupling {q} leaves the float range")
     return s

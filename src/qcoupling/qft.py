@@ -4,10 +4,14 @@ The transform of a nonnegative integrable f at coupling q is
 
     F_q[f](w) = integral of f(x) * exp_q(i x w f(x)^(-q)) dx.
 
-One kernel, v exp_q(i x w v^-q) for the density value v at x, evaluated
-by qcore.exp_q_imag, serves two routes: adaptive quadrature over a
-family's (or the uniform density's) plan, with exact power-substituted
-tails for heavy-tailed families, and the trapezoid rule over a grid.
+One kernel, v exp_q(i x w v^-q) for the density value v at x, taken in
+real arithmetic from qcore.exp_q_polar, serves two routes: adaptive
+quadrature over a family's (or the uniform density's) plan, with exact
+power-substituted tails for heavy-tailed families, and the trapezoid
+rule over a grid.  exp_q(-i y) = conj exp_q(i y), so F(-w) = conj F(w)
+for any real density: each distinct |w| is evaluated once.  Family and
+uniform inputs are even, so their transform is real: twice the integral
+of the kernel's real part over x >= 0.
 Inside the classical band |q| <= COUPLING_EPS the kernel keeps the first
 order in q, as the closed forms do.  For q <= 0 the kernel's modulus is
 bounded by f.  For q > 0 it is not: the family's coupling is conjugated
@@ -36,9 +40,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._quadrature import _X_END, cosine_quad, line_quad
+from ._quadrature import _EPS, _X_END, cosine_quad, line_quad
 from .errors import DomainError, NumericsError, PoleError, UnsupportedInputError
-from .qcore import (COUPLING_EPS, coupling_value, exp_q, exp_q_imag, exp_q_neg_power,
+from .qcore import (COUPLING_EPS, coupling_value, exp_q, exp_q_neg_power, exp_q_polar,
                     ln_q, sinc_q)
 from .qdist import DensityGrid, QAlphaFamily, QFamily, c_q
 from .qseq import conj_tilde, z_n
@@ -140,22 +144,39 @@ def _checked_ws(ws) -> np.ndarray:
     return arr
 
 
+def _stretch(q: float, v: np.ndarray) -> np.ndarray:
+    """The kernel's v^-q at density values v > 0."""
+    with np.errstate(over="ignore"):
+        return _in_range(np.exp(-q * np.log(v)), "the kernel's v^-q")
+
+
+def _polar_kernel(q: float, xv: np.ndarray, v: np.ndarray, ws: np.ndarray):
+    """Modulus v |exp_q(i y)| and angle of the kernel at y = xv w, with
+    xv = x v^-q, as (nodes x ws) real matrices; past the float range
+    they saturate, and the caller rejects what is not finite."""
+    with np.errstate(over="ignore"):
+        log_mod, angle = exp_q_polar(q, xv[:, None] * ws)
+        r = np.exp(log_mod, out=log_mod)
+    r *= v[:, None]
+    return r, angle
+
+
 def _kernel(q: float, x: np.ndarray, v: np.ndarray, ws: np.ndarray) -> np.ndarray:
-    """The transform integrand v exp_q(i x w v^-q) at nodes x with density
-    values v, as a (nodes x ws) matrix; zero where v = 0."""
-    out = np.zeros((x.size, ws.size), dtype=complex)
+    """Real part of the transform integrand v exp_q(i x w v^-q) at nodes
+    x with density values v, as a (nodes x ws) matrix; zero where v = 0."""
+    out = np.zeros((x.size, ws.size))
     pos = v > 0.0
     v = v[pos]
-    with np.errstate(over="ignore"):
-        stretch = _in_range(np.exp(-q * np.log(v)), "the kernel's v^-q")
-    y = (x[pos] * stretch)[:, None] * ws
-    out[pos] = exp_q_imag(q, y, v[:, None])
+    r, angle = _polar_kernel(q, x[pos] * _stretch(q, v), v, ws)
+    with np.errstate(invalid="ignore"):
+        r *= np.cos(angle, out=angle)
+    out[pos] = r
     return out
 
 
 def _direct_numeric(shape, q: float, ws: np.ndarray):
-    """Adaptive quadrature of the kernel over the shape's plan, all
-    frequencies in one pass."""
+    """Adaptive quadrature of the kernel over the even shape's plan, all
+    frequencies w >= 0 in one pass."""
     core, tail_power, points = shape.plan()
     vals, errs = line_quad(lambda x: _kernel(q, x, shape.value(x), ws), core,
                            tail_power=tail_power, points=points)
@@ -182,22 +203,22 @@ def _remainder_drift(shape: QFamily, q: float, ws: np.ndarray, tail_power: float
         return 2.0 * mass
     # y falls to 0, so it drifts by y(X)
     with np.errstate(over="ignore"):
-        drift = _X_END * np.abs(ws) * np.exp(-q * np.log(v_end))
+        drift = _X_END * ws * np.exp(-q * np.log(v_end))
     return np.minimum(2.0, drift) * mass
 
 
 def _cosine_numeric(shape: QFamily, ws: np.ndarray):
     """Classical kernel for a power-tailed family: by the family's even
     symmetry, the double-exponential Fourier-cosine rule over [0, inf)
-    at every nonzero frequency at once."""
+    at every nonzero frequency w >= 0 at once."""
     core, tail_power, _ = shape.plan()
-    vals = np.empty(ws.size, dtype=complex)
+    vals = np.empty(ws.size)
     errs = np.empty(ws.size, dtype=float)
     zero = ws == 0.0
     if zero.any():
         vals[zero], errs[zero] = line_quad(shape.value, core, tail_power=tail_power)
     if not zero.all():
-        half, half_err = cosine_quad(shape.value, np.abs(ws[~zero]))
+        half, half_err = cosine_quad(shape.value, ws[~zero])
         vals[~zero], errs[~zero] = 2.0 * half, 2.0 * half_err
     return vals, errs
 
@@ -208,21 +229,33 @@ def _grid_numeric(grid: DensityGrid, q: float, ws: np.ndarray):
         raise DomainError("grid density must be finite and nonnegative")
     if f.size < 3:
         raise DomainError("the grid transform needs at least 3 samples")
-    # the half-step rule needs an odd count to end on the same sample, so
-    # the estimate compares both rules on the longest odd-length prefix
+    # rows: the trapezoid rule on the whole grid, on its longest
+    # odd-length prefix, and at twice the step on that prefix, which must
+    # end on the same sample; the last two differ by 3x the prefix error
     m = f.size if f.size % 2 else f.size - 1
-    xs = grid.xs
+    rules = np.zeros((3, f.size))
+    for row, (stop, stride) in enumerate(((f.size, 1), (m, 1), (m, 2))):
+        rules[row, :stop:stride] = stride * grid.dx
+        rules[row, [0, stop - 1]] = 0.5 * stride * grid.dx
+    # samples where f = 0 add nothing to any rule
+    pos = f > 0.0
+    v, rules = f[pos], rules[:, pos]
+    xv = grid.xs[pos] * _stretch(q, v)
     vals = np.empty(ws.size, dtype=complex)
     errs = np.empty(ws.size, dtype=float)
-    # blocks of frequencies keep the (samples x frequencies) matrix small
+    # blocks of frequencies keep the (samples x frequencies) matrices small
     for lo in range(0, ws.size, _GRID_BLOCK):
         w = ws[lo : lo + _GRID_BLOCK]
-        g = _kernel(q, xs, f, w)
-        full = np.trapezoid(g, dx=grid.dx, axis=0)
-        prefix = full if m == f.size else np.trapezoid(g[:m], dx=grid.dx, axis=0)
-        half = np.trapezoid(g[:m:2], dx=2.0 * grid.dx, axis=0)
-        vals[lo : lo + w.size] = full
-        errs[lo : lo + w.size] = np.abs(prefix - half) / 3.0 + 1e-15
+        r, angle = _polar_kernel(q, xv, v, w)
+        with np.errstate(invalid="ignore"):
+            re = rules @ (np.cos(angle) * r)
+            im = rules @ (np.sin(angle) * r)
+        vals[lo : lo + w.size] = re[0] + 1j * im[0]
+        # the rounding floor of the sums, as the quadrature takes it
+        rounding = (50.0 * _EPS) * (rules[0] @ r)
+        errs[lo : lo + w.size] = np.hypot(re[1] - re[2], im[1] - im[2]) / 3.0 + rounding
+    if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(errs))):
+        raise NumericsError("non-finite grid transform")
     return vals, errs
 
 
@@ -253,10 +286,9 @@ def _gaussian_hat_numeric(shape: QFamily, q: float, ws: np.ndarray):
             form.q_out, scale * ln_q(hat.q_out, v[pos] / hat.amplitude))
         return out
 
-    err_in = hat_err + np.abs(hat_vals.imag)
-    v = hat_vals.real
-    out = back(v)
-    spread = np.maximum(np.abs(back(v + err_in) - out), np.abs(back(v - err_in) - out))
+    out = back(hat_vals)
+    spread = np.maximum(np.abs(back(hat_vals + hat_err) - out),
+                        np.abs(back(hat_vals - hat_err) - out))
     return out, spread + 1e-15
 
 
@@ -270,20 +302,22 @@ def qft_numeric(f, q, ws) -> TransformResult:
     if q <= -2.0:
         raise DomainError(f"transform coupling {q} <= -2 is outside the domain")
     ws_arr = _checked_ws(ws)
+    # each distinct |w| once; F(-w) = conj F(w) for a real density
+    mags, back = np.unique(np.abs(ws_arr), return_inverse=True)
 
     if isinstance(f, UniformShape):
-        vals, errs = _direct_numeric(f, q, ws_arr)
+        vals, errs = _direct_numeric(f, q, mags)
         q_out = z_n(q, 2) if abs(1.0 + q) > 1e-12 else None
     elif isinstance(f, QFamily):
         if f.mu != 0.0:
             raise UnsupportedInputError(
                 f"the transform takes families centred at 0, got mu = {f.mu}")
         if q > COUPLING_EPS:
-            vals, errs = _gaussian_hat_numeric(f, q, ws_arr)
+            vals, errs = _gaussian_hat_numeric(f, q, mags)
         elif abs(q) <= COUPLING_EPS and f.plan()[1] is not None:
-            vals, errs = _cosine_numeric(f, ws_arr)
+            vals, errs = _cosine_numeric(f, mags)
         else:
-            vals, errs = _direct_numeric(f, q, ws_arr)
+            vals, errs = _direct_numeric(f, q, mags)
         matched = abs(f.q - q) <= _MATCH_TOL or (
             abs(q) <= COUPLING_EPS and abs(f.q) <= COUPLING_EPS
         )
@@ -294,13 +328,16 @@ def qft_numeric(f, q, ws) -> TransformResult:
                 "grid input carries no coupling parameters; the q > 0 route "
                 "needs a parameterized family"
             )
-        vals, errs = _grid_numeric(f, q, ws_arr)
+        vals, errs = _grid_numeric(f, q, mags)
         q_out = None
     else:
         raise UnsupportedInputError(
             f"unsupported transform input type {type(f).__name__}"
         )
-    return TransformResult(ws_arr, vals, "numeric", errs, q_out)
+    vals = vals[back]
+    neg = ws_arr < 0.0
+    vals[neg] = np.conj(vals[neg])
+    return TransformResult(ws_arr, vals, "numeric", errs[back], q_out)
 
 
 def qft_qgaussian_closed(a, beta, q) -> ClosedFormQGaussian:

@@ -95,6 +95,19 @@ class TestExitCodes:
         assert (code, out.strip(), err) == (0, want, "")
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("args, want", [
+        # x + y and q x y overflow with opposite signs; the exact sum
+        # 2e308 - 1e616 saturates
+        (["eval", "q_add", "--q", "-1", "--x", "1e308", "--y", "1e308"], "-inf"),
+        # past |q log x| = sqrt(eps) the band leaves its continuation
+        (["eval", "q_prod", "--q", "1e-10", "--x", "1", "--y", "1e300"], "1e+300"),
+        (["eval", "q_div", "--q", "1e-10", "--x", "1e300", "--y", "1"], "1e+300"),
+    ], ids=["q_add", "band_q_prod", "band_q_div"])
+    def test_saturation_and_band_edge_values(self, capsys, args, want):
+        code, out, err = run_cli(args, capsys)
+        assert (code, out.strip(), err) == (0, want, "")
+
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("args, error", [
         (["transform", "gaussian", "--q", "-1.5", "--a", "1e300"], "NumericsError"),
         (["transform", "gaussian", "--q", "-1.5", "--a", "1e-300"], "NumericsError"),

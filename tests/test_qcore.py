@@ -316,6 +316,33 @@ class TestDeformedArithmetic:
                 assert abs(q_div(q, x, y) - want_div) <= 1e-14 * want_div
                 assert rel_close(q_prod(q, x, y), exp_q(q, u + v), 1e-14)
 
+    @pytest.mark.parametrize("q", [1e-10, -1e-10])
+    @pytest.mark.parametrize("f, x, y", [
+        (q_prod, 1.0, 1e300), (q_div, 1e300, 1.0), (q_prod, 1e-300, 3e-10),
+        (q_div, 1e-300, 1e8),
+    ], ids=["prod", "div", "prod_small", "div_small"])
+    def test_band_prod_div_far_from_one_against_mpmath(self, f, q, x, y):
+        # past |q log x| = sqrt(eps) the continuation's dropped q^2 (log x)^3
+        # term, 1.1e-12 relative at x = 1e300, passes rounding, so ln_q
+        # leaves the band there as exp_q does; exp's own conditioning
+        # allows eps per unit of |log value|
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            mq = mp.mpf(q)
+            mx, my = mp.mpf(x) ** mq, mp.mpf(y) ** mq
+            want = (mx + my - 1 if f is q_prod else mx - my + 1) ** (1 / mq)
+            tol = 4.0 * np.finfo(float).eps * (1.0 + abs(float(mp.log(want))))
+            assert abs(f(q, x, y) - want) <= tol * want
+            want_ln = (mp.mpf(1e300) ** mq - 1) / mq
+            assert abs(ln_q(q, 1e300) - want_ln) <= 4e-16 * want_ln
+
+    def test_q_add_saturates_where_both_terms_overflow(self):
+        # x + y and q x y pass the float range with opposite signs
+        assert q_add(-1.0, 1e308, 1e308) == -math.inf
+        assert q_add(1.0, -1e308, -1e308) == math.inf
+        # the terms cancel back inside the range: 3.4e308 - 2.89e308
+        assert q_add(-1e-308, 1.7e308, 1.7e308) == pytest.approx(5.1e307, rel=1e-12)
+
     @pytest.mark.parametrize("f, q, x, y, want", [
         (q_prod, 2.0, 1e300, 2.0, 1e300),
         (q_prod, -2.0, 1e-300, 2.0, 1e-300),

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from qcoupling.errors import DomainError, PoleError, UnsupportedInputError
+from qcoupling.errors import DomainError, NumericsError, PoleError, UnsupportedInputError
 from qcoupling.qcore import Coupling
 from qcoupling.qdist import DensityGrid, QGaussian, c_q, q_alpha_mass, qgaussian_pdf
 from qcoupling.qft import (
@@ -194,6 +194,20 @@ class TestNumericGaussian:
             for res in (qft_numeric(f, q, ws), qft_numeric(grid, q, ws)):
                 assert np.all(np.abs(res.values - closed) <= res.errors)
 
+    @pytest.mark.parametrize("q", [-9.1e-11, 9.1e-11])
+    @pytest.mark.parametrize("a", [10.0, 1e3, 1e6])
+    def test_grid_bound_covers_rounding_at_large_amplitude(self, q, a):
+        # the grid's rounding grows with the amplitude, and so must its
+        # floor: a fixed absolute one is missed by up to 854x at a = 1e3
+        beta = 1.562
+        ws = np.linspace(-5.0, 5.0, 101)
+        dx = 2.0 ** -7
+        f = QGaussianShape(q, a, beta)
+        closed = qft_qgaussian_closed(a, beta, q).evaluate(ws)
+        grid = DensityGrid(-8.0, dx, f.value(-8.0 + dx * np.arange(2049)))
+        res = qft_numeric(grid, q, ws)
+        assert np.all(np.abs(res.values - closed) <= res.errors)
+
     def test_ws_validation(self):
         with pytest.raises(DomainError):
             qft_numeric(QGaussianShape(-0.5), -0.5, [])
@@ -285,6 +299,12 @@ class TestNumericAlphaAndGrid:
             ests.append(qft_numeric(grid, -0.5, WS).est_abs_error)
         assert max(ests) <= 10.0 * min(ests)
 
+    @pytest.mark.filterwarnings("error")
+    def test_grid_past_the_float_range_raises(self):
+        # y = x w v^-q overflows; at q = 0 the kernel would be nan
+        with pytest.raises(NumericsError):
+            qft_numeric(_shifted_grid(), 0.0, [1e308])
+
     def test_grid_needs_three_samples(self):
         grid = DensityGrid(0.0, 0.1, np.array([0.2, 0.3]))
         with pytest.raises(DomainError):
@@ -293,6 +313,54 @@ class TestNumericAlphaAndGrid:
     def test_grid_negative_density_rejected(self):
         with pytest.raises(DomainError):
             DensityGrid(0.0, 0.1, np.array([0.1, -0.2, 0.1]))
+
+
+def _shifted_grid():
+    # a Gaussian centred off the origin: its transform is complex
+    xs = -6.0 + 0.01 * np.arange(1501)
+    return DensityGrid(-6.0, 0.01, np.exp(-(xs - 1.3) ** 2))
+
+
+class TestHalfSpectrum:
+    """Each distinct |w| is evaluated once; F(-w) = conj F(w)."""
+
+    @pytest.mark.parametrize("q", [-0.5, 0.0])
+    def test_grid_negative_frequencies_are_exact_conjugates(self, q):
+        ws = np.linspace(0.0, 5.0, 26)
+        res = qft_numeric(_shifted_grid(), q, np.concatenate((ws, -ws)))
+        pos, neg = res.values[:26], res.values[26:]
+        assert np.abs(pos.imag).max() > 0.1
+        np.testing.assert_array_equal(neg, np.conj(pos))
+        np.testing.assert_array_equal(res.errors[26:], res.errors[:26])
+
+    @pytest.mark.parametrize("f, q", [
+        (QGaussianShape(-1.5, 0.9, 1.1), -1.5),
+        (QGaussianShape(0.5, 0.9, 1.1), 0.5),
+        (QAlphaShape(0.0, 1.0, 0.9, 1.1), 0.0),
+        (QAlphaShape(-0.5, 1.0, 0.9, 1.1), -0.5),
+        (UniformShape(), 0.3),
+        (_shifted_grid(), -0.5),
+    ], ids=["heavy", "compact", "cosine", "alpha", "uniform", "grid"])
+    def test_unsorted_repeated_frequencies_match_single_calls(self, f, q):
+        ws = [0.3, -0.7, 2.0, 0.3, -2.0]
+        res = qft_numeric(f, q, ws)
+        assert res.values[0] == res.values[3]
+        for w, value, err in zip(ws, res.values, res.errors):
+            one = qft_numeric(f, q, [w])
+            assert abs(value - one.values[0]) <= err
+
+    @pytest.mark.parametrize("f, q", [
+        (QGaussianShape(-1.5), -1.5),
+        (QGaussianShape(-1e-11), -1e-11),
+        (QGaussianShape(1.0), 1.0),
+        (QAlphaShape(0.0, 1.0), 0.0),
+        (QAlphaShape(-0.3, 0.5), -0.3),
+        (UniformShape(), -0.5),
+        (UniformShape(), 0.3),
+    ])
+    def test_family_values_are_real(self, f, q):
+        res = qft_numeric(f, q, np.linspace(-5.0, 5.0, 101))
+        assert np.all(res.values.imag == 0.0)
 
 
 class TestConjugateTransform:

@@ -50,6 +50,20 @@ def test_scalar_integrand_gives_scalars():
     assert abs(val - math.sqrt(math.pi)) <= err <= 1e-9
 
 
+def test_line_quad_evaluates_the_half_line_only():
+    # an even integrand is integrated over x >= 0 and doubled; breakpoints
+    # count by their magnitude
+    lows = []
+
+    def fn(x):
+        lows.append(x.min())
+        return (1.0 + x * x) ** -2
+
+    val, err = line_quad(fn, 3.0, tail_power=-4.0, points=[-1.0, 0.5])
+    assert min(lows) >= 0.0
+    assert abs(val - 0.5 * math.pi) <= err <= 1e-9
+
+
 def test_power_tail_with_remainder():
     # integral of x^-1.5 over [1, inf) is 2
     val, err = tail_quad(lambda x: x ** -1.5, 1.0, -1.5)
