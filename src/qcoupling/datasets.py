@@ -1,8 +1,10 @@
 """Tabular datasets for the standard figures, and CSV/JSON emission.
 
 Datasets are plain rectangular tables: column names plus numeric rows.
-Values are written with 12 significant digits in both formats, so a
-parsed emission reproduces the dataset at that precision.
+Both formats come from one pass that writes every value with 12
+significant digits, so a parsed emission reproduces the dataset at that
+precision; JSON writes each number as the shortest round-trip form of
+that 12-digit value.
 """
 
 import json
@@ -13,6 +15,8 @@ import numpy as np
 from .errors import DomainError
 from . import qdist, qft
 from .qseq import conj_hat
+
+_TINY = np.finfo(float).smallest_normal
 
 
 @dataclass
@@ -48,25 +52,37 @@ def _fmt(v) -> str:
     return f"{v + 0.0:.12g}"
 
 
-def _formatted_columns(dataset: Dataset) -> list:
-    """Each column's cells at 12 significant digits, the one formatting
-    pass both emitters share; adding 0.0 turns -0 into 0."""
-    return [[f"{v:.12g}" for v in (col + 0.0).tolist()]
-            for col in dataset.rows.T]
+def _cells(dataset: Dataset) -> tuple:
+    """The table's cells in row-major order; adding 0.0 turns -0 into 0."""
+    return tuple((dataset.rows + 0.0).ravel().tolist())
 
 
 def to_csv(dataset: Dataset) -> str:
-    lines = [",".join(dataset.columns)]
-    lines.extend(map(",".join, zip(*_formatted_columns(dataset))))
-    return "\n".join(lines) + "\n"
+    n, k = dataset.rows.shape
+    row = ",".join(["%.12g"] * k) + "\n"
+    return ",".join(dataset.columns) + "\n" + (row * n) % _cells(dataset)
 
 
 def to_json(dataset: Dataset) -> str:
-    cols = [list(map(float, col)) for col in _formatted_columns(dataset)]
-    obj = {"columns": list(dataset.columns), "rows": list(zip(*cols))}
+    n, k = dataset.rows.shape
+    cells = ("%.12g " * (n * k) % _cells(dataset)).split()
+    # A string of at most 12 significant digits already has the digits of
+    # the shortest round-trip form of its value; only the style differs.
+    v = np.array(cells, dtype=float)
+    a = np.abs(v)
+    for i in np.flatnonzero((a < 1e12) & (v == np.trunc(v))).tolist():
+        cells[i] += ".0"
+    # %g goes scientific from 1e12, repr from 1e16; inf is Infinity; a
+    # subnormal holds fewer than 12 digits
+    restyle = (a >= 1e12) & (a < 1e16) | np.isinf(a) | (a > 0) & (a < _TINY)
+    for i in np.flatnonzero(restyle).tolist():
+        cells[i] = json.dumps(v[i].item())
+    row = "[" + ", ".join(["%s"] * k) + "]"
+    text = ('{"columns": ' + json.dumps(list(dataset.columns))
+            + ', "rows": [' + ", ".join([row] * n) % tuple(cells) + "]")
     if dataset.meta:
-        obj["meta"] = dataset.meta
-    return json.dumps(obj) + "\n"
+        text += ', "meta": ' + json.dumps(dataset.meta)
+    return text + "}\n"
 
 
 def _figure_couplings(fid):

@@ -44,6 +44,7 @@ COUPLING_EPS = 1e-10
 # term q^2 z^3/3 of the exponent passes the exact form's rounding, about
 # eps |z|.
 _BAND_QZ = math.sqrt(np.finfo(float).eps)
+_TINY = np.finfo(float).smallest_normal
 
 # exp_q(-beta |x|^alpha) switches to log space past this beta |x|^alpha.
 _LOG_SPACE_ARG = 1e300
@@ -215,7 +216,14 @@ def q_add(q, x, y):
 
 
 def _q_add(q: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    out = x + y + q * x * y
+    qxy = q * x * y
+    # q*x can leave the float range where q*x*y does not; the product of
+    # the mantissas and the sum of the exponents cannot
+    off = ~np.isfinite(qxy) | (np.abs(q * x) < _TINY)
+    if off.any():
+        m, e = np.frexp(np.stack(np.broadcast_arrays(q, x[off], y[off])))
+        qxy[off] = np.ldexp(m[0] * m[1] * m[2], e.sum(axis=0))
+    out = x + y + qxy
     # inf - inf: summed at the scale of the larger operand, the sum
     # saturates with its true sign
     bad = np.isnan(out)
@@ -235,7 +243,16 @@ def _q_sub(q: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     den = 1.0 + q * y
     if (den == 0.0).any():
         raise SingularDivisorError("q_sub divisor 1 + q*y vanishes")
-    return (x - y) / den
+    num = x - y
+    out = num / den
+    # past the float range, x - y and 1 + q*y are taken at the scale of
+    # the larger operand, where neither overflows
+    off = ~np.isfinite(num) | ~np.isfinite(den)
+    if off.any():
+        m = np.maximum(np.abs(x), np.abs(y))[off]
+        u, v = x[off] / m, y[off] / m
+        out[off] = (u - v) / (1.0 / m + q * v)
+    return out
 
 
 def q_add_n(q, xs) -> float:

@@ -102,7 +102,13 @@ class TestExitCodes:
         # past |q log x| = sqrt(eps) the band leaves its continuation
         (["eval", "q_prod", "--q", "1e-10", "--x", "1", "--y", "1e300"], "1e+300"),
         (["eval", "q_div", "--q", "1e-10", "--x", "1e300", "--y", "1"], "1e+300"),
-    ], ids=["q_add", "band_q_prod", "band_q_div"])
+        # x - y and 1 + q*y overflow together; the quotient is -2e-10
+        (["eval", "q_sub", "--q", "1e10", "--x=-1e308", "--y", "1e308"], "-2e-10"),
+        (["eval", "q_sub", "--q", "1e10", "--x", "1e308", "--y=-1e308"], "-2e-10"),
+        # q*x overflows where q*x*y = -1e10 does not
+        (["eval", "q_add", "--q=-1e10", "--x", "1e300", "--y", "1e-300"], "1e+300"),
+    ], ids=["q_add", "band_q_prod", "band_q_div", "q_sub", "q_sub_mirror",
+            "q_add_product"])
     def test_saturation_and_band_edge_values(self, capsys, args, want):
         code, out, err = run_cli(args, capsys)
         assert (code, out.strip(), err) == (0, want, "")
@@ -227,14 +233,16 @@ class TestEmission:
 
     def test_golden_bytes(self):
         rows = [(-0.0, 0.0), (1e-300, 1e300), (1.0 / 3.0, 123456789012.5),
-                (1e11, -7.5)]
+                (1e11, -7.5), (1e12, 1.23456789012e13), (5e-324, math.inf)]
         ds = Dataset(["a", "b"], rows)
         assert datasets.to_csv(ds) == (
             "a,b\n0,0\n1e-300,1e+300\n0.333333333333,123456789012\n"
-            "100000000000,-7.5\n")
+            "100000000000,-7.5\n1e+12,1.23456789012e+13\n"
+            "4.94065645841e-324,inf\n")
         assert datasets.to_json(ds) == (
             '{"columns": ["a", "b"], "rows": [[0.0, 0.0], [1e-300, 1e+300], '
-            '[0.333333333333, 123456789012.0], [100000000000.0, -7.5]]}\n')
+            '[0.333333333333, 123456789012.0], [100000000000.0, -7.5], '
+            '[1000000000000.0, 12345678901200.0], [5e-324, Infinity]]}\n')
 
     def test_array_and_tuples_emit_the_same_bytes(self):
         rng = np.random.default_rng(5)

@@ -343,6 +343,28 @@ class TestDeformedArithmetic:
         # the terms cancel back inside the range: 3.4e308 - 2.89e308
         assert q_add(-1e-308, 1.7e308, 1.7e308) == pytest.approx(5.1e307, rel=1e-12)
 
+    @pytest.mark.parametrize("f, q, x, y", [
+        # q*x overflows where q*x*y does not
+        (q_add, -1e10, 1e300, 1e-300),
+        # q*x falls into the subnormals, losing digits that the exact
+        # product -q*x^2, all that is left of the sum, keeps
+        (q_add, 1e-320, 150000.3, -150000.3),
+        # x - y and 1 + q*y overflow together, or one of them alone
+        (q_sub, 1e10, -1e308, 1e308),
+        (q_sub, 1e10, 1e308, -1e308),
+        (q_sub, 1e-300, -1e308, 1e308),
+        (q_sub, 1e10, 3.0, 1e300),
+    ], ids=["add_overflow", "add_underflow", "sub", "sub_mirror",
+            "sub_numerator", "sub_divisor"])
+    def test_add_sub_past_the_float_range_against_mpmath(self, f, q, x, y):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            mq, mx, my = mp.mpf(q), mp.mpf(x), mp.mpf(y)
+            want = (mx + my + mq * mx * my if f is q_add
+                    else (mx - my) / (1 + mq * my))
+            # half a unit in the last place, subnormal results included
+            assert abs(f(q, x, y) - want) <= 1.2e-16 * abs(want) + 2.5e-324
+
     @pytest.mark.parametrize("f, q, x, y, want", [
         (q_prod, 2.0, 1e300, 2.0, 1e300),
         (q_prod, -2.0, 1e-300, 2.0, 1e-300),
