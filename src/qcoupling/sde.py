@@ -11,14 +11,14 @@ density is the compact prediction
     p(x) = sqrt(beta) / c_q * exp_q(-beta g(x)^2),
     q = -2 M / (tau + M),   beta = (tau + M) / (2 A).
 
-`simulate` integrates an ensemble of paths with Euler-Maruyama and
-returns stationary samples; `fit_qgaussian` recovers (q, mu, beta) from
-samples by maximum likelihood, which stays well behaved in the heavy
-tail regime where sample moments diverge.
+`simulate` integrates an ensemble of paths with Euler-Maruyama, one
+normal per path and step from one seeded stream, and returns stationary
+samples; `fit_qgaussian` recovers (q, mu, beta) from samples by maximum
+likelihood, which stays well behaved in the heavy tail regime where
+sample moments diverge.
 """
 
 import math
-import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -29,7 +29,7 @@ from .qcore import COUPLING_EPS
 from . import qdist
 
 _BLOWUP = 1.0e12
-# Noise values per component held at once, whatever the path count
+# Noise values held at once, both blocks together, whatever the path count
 _NOISE_VALUES = 1 << 21
 
 
@@ -140,51 +140,33 @@ class SdeConfig:
         return (self.steps - self.burn_in) // self.stride + 1
 
 
-def _worker_count(n_paths):
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:
-        cpus = os.cpu_count() or 1
-    return min(cpus, n_paths)
-
-
-def _fill_noise(streams, noise, scratch, add, lo, hi, nb):
-    # fill paths lo..hi-1 of a time-major (block, 2, n_paths) buffer a
-    # tile of rows at a time, scaling the additive component in the
-    # transposed copy; the generators release the GIL while they draw
-    for t0 in range(lo, hi, len(scratch)):
-        tile = scratch[:hi - t0, :nb]
-        for k, row in enumerate(tile):
-            streams[t0 + k].standard_normal(out=row)
-        t1 = t0 + len(tile)
-        noise[:nb, 0, t0:t1] = tile[:, :, 0].T
-        np.multiply(tile[:, :, 1].T, add, out=noise[:nb, 1, t0:t1])
-
-
 def simulate(cfg):
     """Integrate the ensemble and return stationary samples.
 
     Output is a flat float array ordered by path index, then by step, of
     length cfg.n_paths * cfg.samples_per_path. Deterministic for a given
-    config: path i consumes its own stream spawned from (seed, i). The
-    noise is drawn on all available cores, one contiguous slice of paths
-    per core; the samples do not depend on the core count.
+    config: the ensemble reads one default_rng(seed) stream in step-major
+    order, one normal per path and step. The Euler-Maruyama step
+    x (1 + d) + m x N0 + a N1, with d = -(tau - M) dt, m = sqrt(2 M dt)
+    and a = sqrt(2 A dt), is taken as x (1 + d) + sqrt(m^2 x^2 + a^2) N:
+    given x both are Normal(x (1 + d), m^2 x^2 + a^2), so the chain is
+    the same in law (Kloeden & Platen 1992, section 10.2).
+    One helper thread draws the next noise block while this thread steps
+    the current one; the samples depend neither on the core count nor on
+    the block size.
     Raises InstabilityError if any path exceeds |X| = 1e12.
     """
     from concurrent.futures import ThreadPoolExecutor
 
     n = cfg.n_paths
-    drift = -(cfg.tau - cfg.M) * cfg.dt
-    mul = math.sqrt(2.0 * cfg.M * cfg.dt)
-    add = math.sqrt(2.0 * cfg.A * cfg.dt)
+    growth = 1.0 - (cfg.tau - cfg.M) * cfg.dt
+    mul2 = 2.0 * cfg.M * cfg.dt
+    add2 = 2.0 * cfg.A * cfg.dt
     stride = cfg.stride
     n_keep = cfg.samples_per_path
 
-    streams = [np.random.default_rng(s)
-               for s in np.random.SeedSequence(cfg.seed).spawn(n)]
-    workers = _worker_count(n)
-    edges = [n * w // workers for w in range(workers + 1)]
-    x, t, u = np.zeros(n), np.empty(n), np.empty(n)
+    rng = np.random.default_rng(cfg.seed)
+    x, t, s = np.zeros(n), np.empty(n), np.empty(n)
     out = np.empty((n, n_keep))
     k = 0
     next_keep = cfg.burn_in
@@ -193,29 +175,28 @@ def simulate(cfg):
         k, next_keep = 1, stride
 
     step = 0
-    block = min(max(1, _NOISE_VALUES // n), cfg.steps)
-    noise = np.empty((block, 2, n))
-    # a scratch of up to 16-path tiles per worker, allocated in this thread
-    # (lower peak RSS), together at most an eighth of the noise block
-    tile = min(16, max(1, n // (8 * workers)))
-    scratch = np.empty((workers, tile, block, 2))
-    with ThreadPoolExecutor(workers) as pool, \
+    block = min(max(1, _NOISE_VALUES // (2 * n)), cfg.steps)
+    noise = np.empty((2, block, n))
+    with ThreadPoolExecutor(1) as pool, \
             np.errstate(over="ignore", invalid="ignore"):
-        while step < cfg.steps:
-            nb = min(block, cfg.steps - step)
-            list(pool.map(
-                lambda w: _fill_noise(streams, noise, scratch[w], add,
-                                      edges[w], edges[w + 1], nb),
-                range(workers)))
-            for j in range(nb):
-                # ((x + drift*x) + (mul*x)*n0) + add*n1 in place; another
+        pending = pool.submit(rng.standard_normal, out=noise[0])
+        for b, start in enumerate(range(0, cfg.steps, block)):
+            pending.result()
+            rows = noise[b % 2, :cfg.steps - start]
+            left = cfg.steps - start - block
+            if left > 0:
+                pending = pool.submit(rng.standard_normal,
+                                      out=noise[1 - b % 2, :left])
+            for row in rows:
+                # x*(1 + d) + sqrt((x*x)*m^2 + a^2)*N in place; another
                 # grouping would round differently
-                np.multiply(x, drift, out=t)
-                t += x
-                np.multiply(x, mul, out=u)
-                u *= noise[j, 0]
-                t += u
-                t += noise[j, 1]
+                np.multiply(x, x, out=s)
+                s *= mul2
+                s += add2
+                np.sqrt(s, out=s)
+                s *= row
+                np.multiply(x, growth, out=t)
+                t += s
                 x, t = t, x
                 step += 1
                 if step == next_keep and k < n_keep:

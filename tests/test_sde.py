@@ -20,22 +20,35 @@ def force_cpus(monkeypatch, n):
                         raising=False)
 
 
-def _whole_run_samples(cfg):
-    # reference: each path draws all of its noise at once, and the step
-    # arithmetic is the same, so the samples are bitwise equal
-    drift = -(cfg.tau - cfg.M) * cfg.dt
-    mul = math.sqrt(2.0 * cfg.M * cfg.dt)
-    add = math.sqrt(2.0 * cfg.A * cfg.dt)
-    noise = np.stack([
-        np.random.default_rng(s).standard_normal((cfg.steps, 2))
-        for s in np.random.SeedSequence(cfg.seed).spawn(cfg.n_paths)])
+def _reference_samples(cfg):
+    # reference: the ensemble draws all of its noise at once, step-major,
+    # and the step arithmetic is the same, so the samples are bitwise equal
+    growth = 1.0 - (cfg.tau - cfg.M) * cfg.dt
+    mul2 = 2.0 * cfg.M * cfg.dt
+    add2 = 2.0 * cfg.A * cfg.dt
+    noise = np.random.default_rng(cfg.seed).standard_normal(
+        (cfg.steps, cfg.n_paths))
     x = np.zeros(cfg.n_paths)
     kept = []
     for j in range(cfg.steps):
-        x = x + drift * x * 1.0 + mul * x * noise[:, j, 0] + add * noise[:, j, 1]
+        x = x * growth + np.sqrt((x * x) * mul2 + add2) * noise[j]
         if j + 1 >= cfg.burn_in and (j + 1 - cfg.burn_in) % cfg.stride == 0:
             kept.append(x)
     return np.stack(kept, axis=1).ravel()
+
+
+def _two_normal_state(cfg, seed):
+    # the ensemble after burn_in two-normal Euler-Maruyama steps
+    # x + d x + m x N0 + a N1
+    drift = -(cfg.tau - cfg.M) * cfg.dt
+    mul = math.sqrt(2.0 * cfg.M * cfg.dt)
+    add = math.sqrt(2.0 * cfg.A * cfg.dt)
+    rng = np.random.default_rng(seed)
+    x = np.zeros(cfg.n_paths)
+    for _ in range(cfg.burn_in):
+        n0, n1 = rng.standard_normal((2, cfg.n_paths))
+        x = x + drift * x + mul * x * n0 + add * n1
+    return x
 
 
 @pytest.fixture(scope="module")
@@ -168,24 +181,35 @@ class TestSimulate:
     def test_blocked_noise_matches_whole_run_draws(self, monkeypatch, block):
         # a whole-run block and a 64-step block
         cfg = sde.SdeConfig(steps=300, n_paths=5, burn_in=37, seed=11)
-        monkeypatch.setattr(sde, "_NOISE_VALUES", block * cfg.n_paths)
-        assert np.array_equal(sde.simulate(cfg), _whole_run_samples(cfg))
+        monkeypatch.setattr(sde, "_NOISE_VALUES", 2 * block * cfg.n_paths)
+        assert np.array_equal(sde.simulate(cfg), _reference_samples(cfg))
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("n_paths", [37, 389])
     def test_partial_blocks_and_tiles_match_whole_run_draws(
             self, monkeypatch, n_paths, workers):
-        # 40-step blocks leave a 20-step last block; the paths split
-        # unevenly over 2 and 3 workers, and each worker's last tile is
-        # partial (389 paths take 16-path tiles, 37 smaller ones)
+        # 40-step blocks leave a 20-step last block, under any core count
         cfg = sde.SdeConfig(steps=300, n_paths=n_paths, burn_in=37, seed=5)
-        monkeypatch.setattr(sde, "_NOISE_VALUES", 40 * cfg.n_paths)
+        monkeypatch.setattr(sde, "_NOISE_VALUES", 2 * 40 * cfg.n_paths)
         force_cpus(monkeypatch, workers)
-        assert np.array_equal(sde.simulate(cfg), _whole_run_samples(cfg))
+        assert np.array_equal(sde.simulate(cfg), _reference_samples(cfg))
+
+    @pytest.mark.parametrize("M", [0.6, 0.0])
+    def test_one_normal_step_has_the_two_normal_law(self, M):
+        # given x both steps are Normal(x (1 + d), m^2 x^2 + a^2), so the
+        # chains agree in law at every step; one sample per path, at step 39
+        from scipy.stats import ks_2samp
+
+        cfg = sde.SdeConfig(M=M, A=0.5, tau=0.75, dt=0.05, steps=40,
+                            burn_in=39, n_paths=50_000, seed=21)
+        assert cfg.samples_per_path == 1
+        one = sde.simulate(cfg)
+        two = _two_normal_state(cfg, seed=22)
+        assert ks_2samp(one, two).pvalue > 1e-3
 
     def test_traced_peak_memory_is_bounded(self):
-        # the noise block holds _NOISE_VALUES values per component
-        # whatever the path count; a whole-run block traces 120 MiB
+        # the two noise blocks hold _NOISE_VALUES values together
+        # whatever the path count; one whole-run block alone is 60 MiB
         cfg = sde.SdeConfig(n_paths=5000, steps=1500, seed=2)
         tracemalloc.start()
         try:
@@ -229,19 +253,19 @@ class TestSimulate:
 
     @pytest.mark.parametrize("n_paths", [5, 1])
     def test_samples_do_not_depend_on_worker_count(self, monkeypatch, n_paths):
-        # 5 paths split unevenly over 2 and 3 workers; 1 path is fewer
-        # paths than workers
-        monkeypatch.setattr(sde, "_NOISE_VALUES", 64 * n_paths)
+        monkeypatch.setattr(sde, "_NOISE_VALUES", 2 * 64 * n_paths)
         cfg = sde.SdeConfig(steps=300, n_paths=n_paths, burn_in=37, seed=11)
         runs = []
         for workers in (1, 2, 3):
             force_cpus(monkeypatch, workers)
-            assert sde._worker_count(n_paths) == min(workers, n_paths)
             runs.append(sde.simulate(cfg))
         for run in runs[1:]:
             assert np.array_equal(run, runs[0])
 
     def test_instability_leaves_no_worker_thread(self, monkeypatch):
+        # 64-step blocks: the run blows up at the end of the first block,
+        # while the draw of the second is pending
+        monkeypatch.setattr(sde, "_NOISE_VALUES", 2 * 64 * 8)
         force_cpus(monkeypatch, 3)
         cfg = sde.SdeConfig(M=20.0, tau=1.0, A=0.5, dt=0.05, steps=5000,
                             n_paths=8, burn_in=10, seed=1)
@@ -251,23 +275,27 @@ class TestSimulate:
         assert threading.active_count() == before
 
     def test_noise_failure_reaches_caller(self, monkeypatch):
-        class Broken:
-            def standard_normal(self, out):
-                raise RuntimeError("draw failed")
-
+        # 64-step blocks: the run makes five draws on the helper thread;
+        # the first fails, then in a second run the third
         real_rng = np.random.default_rng
-        made = []
 
-        def rng(seed):
-            made.append(seed)
-            return Broken() if len(made) == 4 else real_rng(seed)
+        class Failing:
+            def __init__(self, seed):
+                self.rng, self.draws = real_rng(seed), 0
 
-        force_cpus(monkeypatch, 2)
-        monkeypatch.setattr(np.random, "default_rng", rng)
-        before = threading.active_count()
-        with pytest.raises(RuntimeError, match="draw failed"):
-            sde.simulate(sde.SdeConfig(steps=300, n_paths=5, burn_in=37))
-        assert threading.active_count() == before
+            def standard_normal(self, out):
+                self.draws += 1
+                if self.draws == failing_draw:
+                    raise RuntimeError("draw failed")
+                return self.rng.standard_normal(out=out)
+
+        for failing_draw in (1, 3):
+            monkeypatch.setattr(sde, "_NOISE_VALUES", 2 * 64 * 5)
+            monkeypatch.setattr(np.random, "default_rng", Failing)
+            before = threading.active_count()
+            with pytest.raises(RuntimeError, match="draw failed"):
+                sde.simulate(sde.SdeConfig(steps=300, n_paths=5, burn_in=37))
+            assert threading.active_count() == before
 
 
 class TestFit:
