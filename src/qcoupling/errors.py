@@ -21,10 +21,6 @@ class SingularDivisorError(DomainError):
     """Deformed division or subtraction with a vanishing divisor."""
 
 
-class BranchCutError(DomainError):
-    """Complex evaluation exactly on the principal branch cut."""
-
-
 class UnsupportedInputError(CouplingError):
     """Operation not defined for this input kind (e.g. grids where only
     closed families are meaningful)."""

@@ -11,13 +11,13 @@ Branch conventions used throughout the package:
 * One band rule: |q| <= COUPLING_EPS evaluates the q -> 0 limit through
   the continuation exp(z*(1 - q*z/2)), which keeps the first order in q,
   while |q*z| <= sqrt(eps); past that the exact form (1 + q*z)^(1/q) is
-  used, for real and complex z alike.  q_prod and q_div are exp_q of the
-  summed ln_q there.
-* exp_q off the real axis has one array kernel, in real arithmetic on
-  the polar form of 1 + q*z.  exp_q_polar gives its z = i*y case as the
-  real pair (log modulus, angle), from which exp_q_imag, sin_q, sinc_q
-  and the transform kernel of qft are built; exp_q_complex is its
-  scalar face and raises on the branch cut.
+  used, for real and imaginary z alike.  q_prod and q_div are exp_q of
+  the summed ln_q there.
+* exp_q off the real axis is taken at imaginary arguments only, the one
+  kind the deformed Fourier kernel needs.  exp_q_polar gives exp_q(i*y)
+  in real arithmetic on the polar form of 1 + i*q*y, as the real pair
+  (log modulus, angle); sin_q, sinc_q and the transform kernel of qft
+  are built from it.
 * A nonpositive base (1 + q*x <= 0) clamps to 0 when q > 0 (compact
   support) and maps to +inf when q < 0 (the divergent end of a heavy
   tail).  These are the only two ways the base can leave (0, inf).
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BranchCutError, DomainError, NumericsError, PoleError, SingularDivisorError
+from .errors import DomainError, NumericsError, PoleError, SingularDivisorError
 
 # Couplings below this magnitude are treated as the q -> 0 limit.
 COUPLING_EPS = 1e-10
@@ -355,104 +355,45 @@ def power_rescale(q, x, p) -> tuple[float, float]:
     return q / p, p * x
 
 
-def exp_q_complex(q, z) -> complex:
-    """Principal-branch deformed exponential of a complex argument, the
-    scalar face of exp_q_imag's kernel.
-
-    The branch cut sits where 1 + q*z is on the nonpositive real axis;
-    evaluation exactly on the cut raises BranchCutError, and a value
-    past the float range NumericsError.
-    """
-    q = coupling_value(q)
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise DomainError("z must be finite")
-    if q * z.imag == 0.0 and 1.0 + q * z.real <= 0.0:
-        raise BranchCutError("1 + q*z on the nonpositive real axis")
-    out = complex(_exp_q_z(q, z.real, np.array([z.imag]))[0])
-    if not (math.isfinite(out.real) and math.isfinite(out.imag)):
-        raise NumericsError(f"exp_q_complex(q={q}, z={z}) leaves the float range")
-    return out
-
-
-def exp_q_imag(q, y, scale=1.0):
-    """scale * exp_q(i*y) for real finite y, in real arithmetic: the
-    z = i*y case of the kernel behind exp_q_complex, whose base 1 + i*q*y
-    never touches the branch cut.  exp_q(-i*y) is the conjugate of
-    exp_q(i*y).  scale broadcasts against y; the result is a complex
-    array of their broadcast shape.
-    """
-    q = coupling_value(q)
-    return _exp_q_z(q, 0.0, np.asarray(y, dtype=float), scale)
-
-
 def exp_q_polar(q, y):
     """exp_q(i*y) = exp(log_mod) * e^(i*angle) for real finite y, as the
-    fresh real arrays (log_mod, angle) of y's shape."""
+    fresh real arrays (log_mod, angle) of y's shape.  The base 1 + i*q*y
+    never meets the branch cut, and exp_q(-i*y) is the conjugate of
+    exp_q(i*y): (log_mod, -angle)."""
     q = coupling_value(q)
-    return _log_polar(q, 0.0, np.asarray(y, dtype=float))
+    return _log_polar(q, np.asarray(y, dtype=float))
 
 
-def _exp_q_z(q: float, x: float, y: np.ndarray, scale=1.0) -> np.ndarray:
-    """scale * exp_q(x + i*y) for finite x and y."""
-    log_mod, angle = _log_polar(q, x, y)
-    # past the float range the modulus saturates to inf (or 0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        r = scale * np.exp(log_mod)
-        out = np.empty(np.shape(r), dtype=complex)
-        out.real = r * np.cos(angle)
-        out.imag = r * np.sin(angle)
-    return out
-
-
-def _log_polar(q: float, x: float, y: np.ndarray):
-    """log|exp_q(x + i*y)| and arg exp_q(x + i*y) for finite x and y,
-    from the polar form of 1 + q*z.  On the imaginary axis, x = 0, the
-    terms in x are exact identities and are skipped."""
-    on_axis = x == 0.0
+def _log_polar(q: float, y: np.ndarray):
+    """log|exp_q(i*y)| and arg exp_q(i*y) for finite y, from the polar
+    form of 1 + i*q*y."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        u, t = q * x, q * y
+        t = q * y
         if abs(q) > COUPLING_EPS:
-            return _polar(q, u, t, on_axis)
-        # z (1 - q z/2): real part x (1 - q x/2) + q y^2/2, imaginary
-        # part y (1 - q x)
+            return _polar(q, t)
+        # i y (1 - i q y/2): real part q y^2/2, imaginary part y
         log_mod, angle = 0.5 * q * y * y, y.copy()
-        if not on_axis:
-            log_mod, angle = log_mod + x * (1.0 - 0.5 * u), angle * (1.0 - u)
-        far = (np.abs(t) if on_axis else np.hypot(u, t)) > _BAND_QZ
+        far = np.abs(t) > _BAND_QZ
         if far.any():
-            exact_log_mod, exact_angle = _polar(q, u, t, on_axis)
+            exact_log_mod, exact_angle = _polar(q, t)
             log_mod = np.where(far, exact_log_mod, log_mod)
             angle = np.where(far, exact_angle, angle)
     return log_mod, angle
 
 
-def _polar(q: float, u: float, t: np.ndarray, on_axis: bool):
-    """log|exp_q(z)| and arg exp_q(z) from u + i*t = q*z, for q != 0."""
-    # log |1 + q z|^2 is log1p of |1 + q z|^2 - 1, accurate near z = 0,
-    # except where that square overflows, past |q z| ~ 1.3e154, or, off
-    # the axis, cancels to about -1 near the branch point; there it is
-    # 2 log hypot(1 + q x, q y)
-    if on_axis:
-        # the overflow flag of t*t, not a pass over the array, tells
-        try:
-            with np.errstate(over="raise"):
-                log_sq = np.log1p(t * t)
-            far = False
-        except FloatingPointError:
+def _polar(q: float, t: np.ndarray):
+    """log|exp_q(i*y)| and arg exp_q(i*y) from t = q*y, for q != 0."""
+    # log |1 + i t|^2 is log1p(t^2), accurate near t = 0, except where the
+    # square overflows, past |t| ~ 1.3e154; there it is 2 log hypot(1, t).
+    # The overflow flag of t*t, not a pass over the array, tells
+    try:
+        with np.errstate(over="raise"):
             log_sq = np.log1p(t * t)
-            far = log_sq == math.inf
-        angle = np.arctan(t)
-    else:
-        sq = u * (2.0 + u) + t * t
-        far = (sq == math.inf) | (sq < -0.5)
-        log_sq = np.log1p(sq)
-        # arctan gives the angle of 1 + q z right of the branch point;
-        # left of it the angle moves by pi, with the sign of t
-        a = 1.0 + u
-        angle = np.arctan(t / a) + np.where(a < 0.0, np.copysign(np.pi, t), 0.0)
-    if np.any(far):
-        log_sq = np.where(far, 2.0 * np.log(np.hypot(1.0 + u, t)), log_sq)
+    except FloatingPointError:
+        log_sq = np.log1p(t * t)
+        far = log_sq == math.inf
+        log_sq = np.where(far, 2.0 * np.log(np.hypot(1.0, t)), log_sq)
+    angle = np.arctan(t)
     # in place: these arrays can be large, and fresh ones cost page faults
     log_sq /= 2.0 * q
     angle /= q
@@ -471,7 +412,7 @@ def sin_q(q, x):
 def _sin_q(q: float, x: np.ndarray) -> np.ndarray:
     if not np.isfinite(x).all():
         raise DomainError("x must be finite")
-    log_mod, angle = _log_polar(q, 0.0, x)
+    log_mod, angle = _log_polar(q, x)
     with np.errstate(over="ignore", invalid="ignore"):
         s = np.exp(log_mod) * np.sin(angle)
     if not np.isfinite(s).all():

@@ -8,7 +8,8 @@ Its alpha = 2 members are the generalized Gaussians: QGaussian(q, mu,
 sigma_sq) builds the normalized one, beta = 1/((2+q) sigma_sq) and
 a = sqrt(beta)/c_q(q), and sigma_sq is read back from beta.  For q > 0
 the support is compact, |x - mu| < (q beta)^(-1/alpha); for q < 0 the
-tails decay like |x|^(alpha/q).  QAlphaFamily builds unnormalized members.
+tails decay like |x|^(alpha/q).  QFamily itself builds unnormalized
+members.
 
 The escort (coupled) transform raises probabilities to the power 1 - q
 and renormalizes; applied to a family member it lands back in the
@@ -75,9 +76,9 @@ class QFamily:
     """The coupled family a * exp_q(-beta |x - mu|^alpha) with
     0 < alpha <= 2, integrable for q > -alpha.
 
-    The alpha = 2 members are the q-Gaussians; QGaussian, QAlphaFamily
-    (and qft's QGaussianShape and QAlphaShape) build members.  Every
-    field is stored as a validated float.
+    The alpha = 2 members are the q-Gaussians; QGaussian (and qft's
+    QGaussianShape) build members.  Every field is stored as a validated
+    float.
     """
 
     q: float
@@ -99,10 +100,6 @@ class QFamily:
             raise DomainError("beta must be positive")
         if self.a <= 0.0:
             raise DomainError("amplitude a must be positive")
-
-    @property
-    def amplitude(self) -> float:
-        return self.a
 
     @property
     def sigma_sq(self) -> float:
@@ -146,11 +143,6 @@ def QGaussian(q, mu=0.0, sigma_sq=1.0) -> QFamily:
     return QFamily(q, 2.0, math.sqrt(beta) / c, beta, mu)
 
 
-def QAlphaFamily(q, alpha, a=1.0, beta=1.0) -> QFamily:
-    """Unnormalized member a * exp_q(-beta |x|^alpha), 0 < alpha <= 2."""
-    return QFamily(q, alpha, a, beta)
-
-
 def _require_gaussian(dist: QFamily):
     if dist.alpha != 2.0:
         raise DomainError(f"needs a q-Gaussian (alpha = 2), got alpha = {dist.alpha}")
@@ -173,11 +165,6 @@ def support_bounds(dist: QFamily) -> tuple[float, float]:
 def qgaussian_mass(dist: QFamily) -> float:
     """Numeric integral of the pdf (should be 1); used as a self-check."""
     return dist.mass()
-
-
-# the unnormalized family shares the density and the mass
-q_alpha_pdf = qgaussian_pdf
-q_alpha_mass = qgaussian_mass
 
 
 def q_alpha_normalize(fam: QFamily) -> QFamily:

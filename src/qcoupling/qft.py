@@ -22,9 +22,9 @@ the transform coupling are accepted.  A power-tailed family at a kernel
 coupling in the classical band oscillates without damping; it goes to
 the double-exponential Fourier-cosine rule.
 
-Family inputs are qdist.QFamily members a * exp_q(-beta |x|^alpha)
-centred at 0: QGaussianShape(q, a, beta) builds the alpha = 2 member,
-QAlphaShape(q, alpha, a, beta) any other.  Closed forms for
+Family inputs are qdist.QFamily(q, alpha, a, beta) members
+a * exp_q(-beta |x|^alpha) centred at 0; QGaussianShape(q, a, beta)
+builds the alpha = 2 member.  Closed forms for
 coupled-Gaussian and uniform inputs are implemented separately from the
 numeric route so that each can check the other; a scalar frequency
 gives a float back.
@@ -44,7 +44,7 @@ from ._quadrature import _EPS, _X_END, cosine_quad, line_quad
 from .errors import DomainError, NumericsError, PoleError, UnsupportedInputError
 from .qcore import (COUPLING_EPS, coupling_value, exp_q, exp_q_neg_power, exp_q_polar,
                     ln_q, sinc_q)
-from .qdist import DensityGrid, QAlphaFamily, QFamily, c_q
+from .qdist import DensityGrid, QFamily, c_q
 from .qseq import conj_tilde, z_n
 
 _MATCH_TOL = 1e-9
@@ -58,8 +58,9 @@ def QGaussianShape(q, a=1.0, beta=1.0) -> QFamily:
     return QFamily(q, 2.0, a, beta)
 
 
-# transform input a * exp_q(-beta |x|^alpha), 0 < alpha <= 2
-QAlphaShape = QAlphaFamily
+# transform input a * exp_q(-beta |x|^alpha), 0 < alpha <= 2; the
+# benchmark's transform workload builds its inputs by this name
+QAlphaShape = QFamily
 
 
 @dataclass(frozen=True)
@@ -295,7 +296,7 @@ def _gaussian_hat_numeric(shape: QFamily, q: float, ws: np.ndarray):
 def qft_numeric(f, q, ws) -> TransformResult:
     """Deformed Fourier transform of f at coupling q on the grid ws.
 
-    f is a QFamily centred at mu = 0 (QGaussianShape, QAlphaShape), a
+    f is a QFamily centred at mu = 0 (QGaussianShape builds one), a
     UniformShape, or a DensityGrid.  For q > 0 only alpha = 2 members at
     their own coupling are accepted."""
     q = coupling_value(q)

@@ -110,10 +110,6 @@ def dual_multiplicative(q) -> float:
 
 
 def translate(qprime) -> float:
-    """Map a one-minus convention parameter to this one: q = 1 - q'."""
+    """Map a one-minus convention parameter to this one: q = 1 - q'.
+    The map is its own inverse."""
     return 1.0 - coupling_value(qprime)
-
-
-def translate_inv(q) -> float:
-    """Inverse of translate (the map is its own inverse)."""
-    return 1.0 - coupling_value(q)

@@ -154,7 +154,10 @@ def simulate(cfg):
     One helper thread draws the next noise block while this thread steps
     the current one; the samples depend neither on the core count nor on
     the block size.
-    Raises InstabilityError if any path exceeds |X| = 1e12.
+    Raises InstabilityError if any path exceeds |X| = 1e12, naming the
+    first step where one does; |X| is tested at the end of each noise
+    block, so a path that passes 1e12 and returns within a block is not
+    seen.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -166,7 +169,7 @@ def simulate(cfg):
     n_keep = cfg.samples_per_path
 
     rng = np.random.default_rng(cfg.seed)
-    x, t, s = np.zeros(n), np.empty(n), np.empty(n)
+    x, t, s, x0 = np.zeros(n), np.empty(n), np.empty(n), np.empty(n)
     out = np.empty((n, n_keep))
     k = 0
     next_keep = cfg.burn_in
@@ -187,27 +190,43 @@ def simulate(cfg):
             if left > 0:
                 pending = pool.submit(rng.standard_normal,
                                       out=noise[1 - b % 2, :left])
+            np.copyto(x0, x)
             for row in rows:
-                # x*(1 + d) + sqrt((x*x)*m^2 + a^2)*N in place; another
-                # grouping would round differently
-                np.multiply(x, x, out=s)
-                s *= mul2
-                s += add2
-                np.sqrt(s, out=s)
-                s *= row
-                np.multiply(x, growth, out=t)
-                t += s
-                x, t = t, x
+                x, t = _step(x, t, s, row, growth, mul2, add2)
                 step += 1
                 if step == next_keep and k < n_keep:
                     out[:, k] = x
                     k += 1
                     next_keep += stride
-            top = float(np.abs(x).max())
-            if not math.isfinite(top) or top > _BLOWUP:
+            if _blown(x):
+                # |X| is tested once per block; the block's rows, replayed
+                # from its start, name the step that blew up
+                for step, row in enumerate(rows, start + 1):
+                    x0, t = _step(x0, t, s, row, growth, mul2, add2)
+                    if _blown(x0):
+                        break
                 raise InstabilityError(
                     f"|X| exceeded {_BLOWUP:g} at step {step}; reduce dt")
     return out.ravel()
+
+
+def _step(x, t, s, row, growth, mul2, add2):
+    """One step of the ensemble x into t, with s as scratch:
+    x*(1 + d) + sqrt((x*x)*m^2 + a^2)*N, in place and in that grouping,
+    since another would round differently.  Returns (t, x)."""
+    np.multiply(x, x, out=s)
+    s *= mul2
+    s += add2
+    np.sqrt(s, out=s)
+    s *= row
+    np.multiply(x, growth, out=t)
+    t += s
+    return t, x
+
+
+def _blown(x):
+    top = float(np.abs(x).max())
+    return not math.isfinite(top) or top > _BLOWUP
 
 
 class FitReport(NamedTuple):

@@ -3,6 +3,7 @@ and finite-difference oracles for the closed-form calculus."""
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 
 from qcoupling import qcore
 from qcoupling.errors import (
-    BranchCutError,
     CouplingError,
     DomainError,
     NumericsError,
@@ -22,9 +22,8 @@ from qcoupling.qcore import (
     classify_coupling,
     dn_exp_q,
     exp_q,
-    exp_q_complex,
-    exp_q_imag,
     exp_q_neg_power,
+    exp_q_polar,
     intn_exp_q,
     ln_q,
     power_rescale,
@@ -303,7 +302,6 @@ class TestDeformedArithmetic:
         # 40-digit [x^q + y^q - 1]^(1/q) and [x^q - y^q + 1]^(1/q) inside
         # the classical band; the plain x*y misses the first-order factor
         # exp(-q log x log y), 2.5e-9 for the exp_q(5) pair
-        mp = pytest.importorskip("mpmath")
         with mp.workdps(40):
             mq = mp.mpf(q)
             for u, v in ((5.0, 5.0), (7.0, 3.0), (-4.0, 11.0), (0.3, -0.8),
@@ -326,7 +324,6 @@ class TestDeformedArithmetic:
         # term, 1.1e-12 relative at x = 1e300, passes rounding, so ln_q
         # leaves the band there as exp_q does; exp's own conditioning
         # allows eps per unit of |log value|
-        mp = pytest.importorskip("mpmath")
         with mp.workdps(40):
             mq = mp.mpf(q)
             mx, my = mp.mpf(x) ** mq, mp.mpf(y) ** mq
@@ -357,7 +354,6 @@ class TestDeformedArithmetic:
     ], ids=["add_overflow", "add_underflow", "sub", "sub_mirror",
             "sub_numerator", "sub_divisor"])
     def test_add_sub_past_the_float_range_against_mpmath(self, f, q, x, y):
-        mp = pytest.importorskip("mpmath")
         with mp.workdps(40):
             mq, mx, my = mp.mpf(q), mp.mpf(x), mp.mpf(y)
             want = (mx + my + mq * mx * my if f is q_add
@@ -412,86 +408,82 @@ class TestDeformedArithmetic:
             power_rescale(0.5, 1.0, 0.0)
 
 
+def _polar_error(q, y) -> float:
+    """|log_mod - Re L| + |angle - Im L| for the pair exp_q_polar(q, y),
+    with L = log(1 + i q y)/q the 40-digit exponent of (1 + i q y)^(1/q)
+    on the principal branch: the relative error of exp_q(i*y) built
+    from the pair, with no 2 pi ambiguity in the angle."""
+    log_mod, angle = exp_q_polar(q, y)
+    with mp.workdps(40):
+        mq = mp.mpf(q)
+        exponent = (1j * mp.mpf(y) if q == 0.0
+                    else mp.log(1 + 1j * mq * mp.mpf(y)) / mq)
+        return float(abs(log_mod - mp.re(exponent)) + abs(angle - mp.im(exponent)))
+
+
 class TestComplexAndTrig:
     def test_euler_identity_classical(self):
-        val = exp_q_complex(0.0, 1j * math.pi)
-        assert val == pytest.approx(-1.0 + 0j, abs=1e-15)
+        # e^(i pi) = -1: modulus 1, angle pi
+        log_mod, angle = exp_q_polar(0.0, math.pi)
+        assert log_mod == 0.0
+        assert angle == math.pi
+        assert math.cos(angle) == -1.0
 
     def test_fixed_complex_value(self):
-        # q=-1: 1/(1-z) at z=i -> (1+i)/2... 1/(1-i) = (1+i)/2
-        assert exp_q_complex(-1.0, 1j) == pytest.approx((1 + 1j) / 2, abs=1e-15)
-
-    def test_branch_cut_raises(self):
-        with pytest.raises(BranchCutError):
-            exp_q_complex(1.0, -2.0 + 0j)
+        # q = -1: exp_q(iy) = 1/(1 - iy); at y = 1, (1 + i)/2, of modulus
+        # 1/sqrt(2) and angle pi/4
+        log_mod, angle = exp_q_polar(-1.0, 1.0)
+        assert log_mod == pytest.approx(-0.5 * math.log(2.0), rel=1e-15)
+        assert angle == pytest.approx(0.25 * math.pi, rel=1e-15)
+        assert _polar_error(-1.0, 1.0) <= 1e-15
 
     @pytest.mark.filterwarnings("error")
     def test_out_of_range_raises_numerics_error(self):
-        for q, z in ((0.0, 1000 + 0j), (0.5, 1e300 + 0j), (0.5, 1e200 + 1e200j),
-                     (1e-11, 3e11 + 0j)):
-            with pytest.raises(NumericsError, match="exp_q_complex"):
-                exp_q_complex(q, z)
-        assert exp_q_complex(0.0, -1000 + 0j) == 0.0
+        # the modulus (1 + (q x)^2)^(1/2q) leaves the float range, for an
+        # exact coupling and for one inside the band past the switch
+        for q, x in ((0.5, 1e200), (0.25, -1e100), (1e-11, 1e8)):
+            for fn in (sin_q, sinc_q):
+                with pytest.raises(NumericsError, match="sin_q"):
+                    fn(q, x)
+                with pytest.raises(NumericsError, match="sin_q"):
+                    fn(q, [0.5, x])
 
     def test_conjugate_symmetry(self):
-        for q in (-1.5, -0.5, 0.3, 2.0):
-            for z in (0.3 + 0.7j, -1.2 + 0.4j):
-                a = exp_q_complex(q, z)
-                b = exp_q_complex(q, z.conjugate())
-                assert a.conjugate() == pytest.approx(b, rel=1e-14)
-
-    def test_imaginary_argument_matches_complex_scalar(self):
-        ys = np.array([-40.0, -2.5, -0.3, 0.0, 0.7, 3.0, 25.0])
-        for q in (-1.5, -0.5, -1e-11, 0.0, 1e-11, 0.3, 2.0):
-            want = [exp_q_complex(q, 1j * y) for y in ys]
-            np.testing.assert_allclose(exp_q_imag(q, ys), want, rtol=1e-13)
-            np.testing.assert_allclose(exp_q_imag(q, ys, 0.25), 0.25 * np.array(want),
-                                       rtol=1e-13)
+        # exp_q(-iy) = conj exp_q(iy), bitwise: F(-w) = conj F(w) in qft
+        # rests on it
+        ys = np.concatenate((
+            [0.0, 1e-320, 3e-11, 0.7, 25.0, 1e6, 3e6, 1.3e154, 1e200, 1e308],
+            qcore._BAND_QZ * np.array([0.99, 1.01]) / 3e-11))
+        for q in (-1.99, -1.5, -1e-10, -3e-11, 0.0, 3e-11, 1e-10, 0.3, 2.0, 1e5):
+            log_mod, angle = exp_q_polar(q, ys)
+            neg_log_mod, neg_angle = exp_q_polar(q, -ys)
+            np.testing.assert_array_equal(neg_log_mod, log_mod)
+            np.testing.assert_array_equal(neg_angle, -angle)
 
     @pytest.mark.parametrize("q, y", [(-1.5, 1e200), (-1.9, 1e155), (-1.2, -1e300)])
     def test_imaginary_argument_past_the_square_range(self, q, y):
         # (q y)^2 overflows past |q y| ~ 1.3e154, while the modulus
         # (1 + (q y)^2)^(1/2q) of a heavy tail stays a float
-        mp = pytest.importorskip("mpmath")
-        got = exp_q_imag(q, [y])[0]
-        with mp.workdps(40):
-            want = (1 + 1j * mp.mpf(q) * mp.mpf(y)) ** (1 / mp.mpf(q))
-            assert abs(got - want) <= 1e-13 * abs(want)
-
-    @pytest.mark.parametrize("q, z", [
-        (0.5, -2 + 1e-9j), (0.5, -2 - 1e-9j), (-0.5, 2 + 1e-9j),
-        (0.25, -4 + 3e-5j), (2.0, -0.5 + 1e-300j), (0.5, -3 + 1e-3j),
-    ])
-    def test_complex_argument_near_the_branch_point(self, q, z):
-        # |1 + q z|^2 - 1 cancels to -1 there; the modulus must not
-        mp = pytest.importorskip("mpmath")
-        got = exp_q_complex(q, z)
-        with mp.workdps(40):
-            want = (1 + mp.mpf(q) * mp.mpc(z)) ** (1 / mp.mpf(q))
-            assert abs(got - want) <= 1e-13 * abs(want)
+        assert _polar_error(q, y) <= 1e-13
 
     @pytest.mark.parametrize("q", [1e-10, -1e-10, 3e-11, -7e-11])
     def test_band_switch_against_mpmath(self, q):
         # one switch from the continuation to the exact form, at
-        # |q z| = sqrt(eps), for real, imaginary and complex z: on both
-        # sides the error stays at the rounding of an exponent or phase of
-        # size |z|.  The parent's 1e-3 switch missed this by 2e3 at 1e6j.
-        mp = pytest.importorskip("mpmath")
+        # |q z| = sqrt(eps), for real and imaginary z: on both sides the
+        # error stays at the rounding of an exponent or phase of size |z|.
+        # A switch at 1e-3 missed this by 2e3 at 1e6j.
         eps = np.finfo(float).eps
         edge = qcore._BAND_QZ / abs(q)
         xs = np.concatenate((np.linspace(-700.0, 700.0, 141),
                              edge * np.array([-1.01, -0.99, 0.99, 1.01])))
         ys = np.concatenate((edge * np.array([0.5, 0.99, 1.01, 2.0]), [1e6, 3e6]))
-        zs = [complex(x, y) for x in (-300.0, 0.7 * edge) for y in (-0.9 * edge, 1.1 * edge)]
-        zs += [-300 + 1e6j, 200 - 3e6j]
-        got = [(complex(x), v) for x, v in zip(xs, exp_q(q, xs))]
-        got += [(complex(0.0, y), v) for y, v in zip(ys, exp_q_imag(q, ys))]
-        got += [(z, exp_q_complex(q, z)) for z in [*xs[::10], *(1j * ys), *zs]]
         with mp.workdps(40):
             mq = mp.mpf(q)
-            for z, v in got:
-                want = (1 + mq * mp.mpc(z)) ** (1 / mq)
-                assert abs(v - want) <= 4 * eps * (1 + abs(z)) * abs(want), z
+            for x, v in zip(xs, exp_q(q, xs)):
+                want = (1 + mq * mp.mpf(x)) ** (1 / mq)
+                assert abs(v - want) <= 4 * eps * (1 + abs(x)) * want, x
+        for y in (*ys, *-ys):
+            assert _polar_error(q, y) <= 4 * eps * (1 + abs(y)), y
 
     def test_sin_classical(self):
         assert sin_q(0.0, math.pi / 2) == pytest.approx(1.0, rel=1e-15)
@@ -522,7 +514,6 @@ class TestComplexAndTrig:
         # classical band.  Errors are scaled by 1 + |exp_q(ix)|, not by
         # |sin_q|: at q = 1e-3, x = 1e3 the phase is 250 pi, so sin_q is
         # 6e-15 of the modulus, while the phase itself is only a float.
-        mp = pytest.importorskip("mpmath")
         xs = np.concatenate((np.linspace(-1e3, 1e3, 201), [-0.3, 1e-3, 0.7, 2.5, 17.0]))
         got_sin, got_sinc = sin_q(q, xs), sinc_q(q, xs)
         with mp.workdps(40):
@@ -540,7 +531,6 @@ class TestComplexAndTrig:
     def test_band_sin_far_from_origin_against_mpmath(self, q, x):
         # |q x| >= 1e-4: the band's continuation exp(q x^2/2) e^{ix} drops
         # the q^2 x^3/3 term of the phase, 3e-3 of the modulus at 1e6
-        mp = pytest.importorskip("mpmath")
         with mp.workdps(40):
             z = (1 + 1j * mp.mpf(q) * mp.mpf(x)) ** (1 / mp.mpf(q))
             assert abs(sin_q(q, x) - mp.im(z)) <= 1e-10 * abs(z)

@@ -15,7 +15,6 @@ from qcoupling.qseq import (
     dual_additive,
     dual_multiplicative,
     translate,
-    translate_inv,
     z_alpha_n,
     z_n,
 )
@@ -225,7 +224,6 @@ class TestDualsAndTranslate:
     def test_translate_self_inverse(self, x):
         # exact up to the rounding of 1 - x itself
         assert translate(translate(x)) == pytest.approx(x, rel=1e-15, abs=1e-15)
-        assert translate_inv(translate(x)) == pytest.approx(x, rel=1e-15, abs=1e-15)
 
     def test_translate_fixed(self):
         assert translate(0.0) == 1.0

@@ -1,5 +1,4 @@
 import math
-import os
 import threading
 import tracemalloc
 
@@ -15,26 +14,32 @@ from qcoupling.errors import (
 )
 
 
-def force_cpus(monkeypatch, n):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
-                        raising=False)
-
-
-def _reference_samples(cfg):
+def _reference_states(cfg):
     # reference: the ensemble draws all of its noise at once, step-major,
-    # and the step arithmetic is the same, so the samples are bitwise equal
+    # and the step arithmetic is the same, so the states after each step
+    # are bitwise equal
     growth = 1.0 - (cfg.tau - cfg.M) * cfg.dt
     mul2 = 2.0 * cfg.M * cfg.dt
     add2 = 2.0 * cfg.A * cfg.dt
     noise = np.random.default_rng(cfg.seed).standard_normal(
         (cfg.steps, cfg.n_paths))
     x = np.zeros(cfg.n_paths)
-    kept = []
-    for j in range(cfg.steps):
-        x = x * growth + np.sqrt((x * x) * mul2 + add2) * noise[j]
-        if j + 1 >= cfg.burn_in and (j + 1 - cfg.burn_in) % cfg.stride == 0:
-            kept.append(x)
+    for row in noise:
+        x = x * growth + np.sqrt((x * x) * mul2 + add2) * row
+        yield x
+
+
+def _reference_samples(cfg):
+    kept = [x for step, x in enumerate(_reference_states(cfg), 1)
+            if step >= cfg.burn_in and (step - cfg.burn_in) % cfg.stride == 0]
     return np.stack(kept, axis=1).ravel()
+
+
+def _reference_blowup_step(cfg):
+    # the first step after which some |X| passes 1e12
+    for step, x in enumerate(_reference_states(cfg), 1):
+        if np.abs(x).max() > 1e12:
+            return step
 
 
 def _two_normal_state(cfg, seed):
@@ -184,14 +189,11 @@ class TestSimulate:
         monkeypatch.setattr(sde, "_NOISE_VALUES", 2 * block * cfg.n_paths)
         assert np.array_equal(sde.simulate(cfg), _reference_samples(cfg))
 
-    @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("n_paths", [37, 389])
-    def test_partial_blocks_and_tiles_match_whole_run_draws(
-            self, monkeypatch, n_paths, workers):
-        # 40-step blocks leave a 20-step last block, under any core count
+    def test_partial_blocks_match_whole_run_draws(self, monkeypatch, n_paths):
+        # 40-step blocks leave a 20-step last block
         cfg = sde.SdeConfig(steps=300, n_paths=n_paths, burn_in=37, seed=5)
         monkeypatch.setattr(sde, "_NOISE_VALUES", 2 * 40 * cfg.n_paths)
-        force_cpus(monkeypatch, workers)
         assert np.array_equal(sde.simulate(cfg), _reference_samples(cfg))
 
     @pytest.mark.parametrize("M", [0.6, 0.0])
@@ -245,28 +247,32 @@ class TestSimulate:
         dev = np.abs(hist * inside - qdist.qgaussian_pdf(dist, mids))
         assert dev.max() <= 0.02
 
-    def test_instability_raised(self):
+    def test_instability_raised(self, monkeypatch):
+        # the error names the first step where some |X| passes 1e12,
+        # whether the noise comes in one whole-run block, 64-step blocks
+        # or 16-step blocks
         cfg = sde.SdeConfig(M=20.0, tau=1.0, A=0.5, dt=0.05, steps=5000,
                             n_paths=8, burn_in=10, seed=1)
-        with pytest.raises(InstabilityError):
-            sde.simulate(cfg)
+        want = _reference_blowup_step(cfg)
+        assert want < 64
+        for block in (cfg.steps, 64, 16):
+            monkeypatch.setattr(sde, "_NOISE_VALUES", 2 * block * cfg.n_paths)
+            with pytest.raises(InstabilityError, match=f" at step {want};"):
+                sde.simulate(cfg)
 
     @pytest.mark.parametrize("n_paths", [5, 1])
-    def test_samples_do_not_depend_on_worker_count(self, monkeypatch, n_paths):
+    def test_repeated_runs_are_bitwise_equal(self, monkeypatch, n_paths):
         monkeypatch.setattr(sde, "_NOISE_VALUES", 2 * 64 * n_paths)
         cfg = sde.SdeConfig(steps=300, n_paths=n_paths, burn_in=37, seed=11)
-        runs = []
-        for workers in (1, 2, 3):
-            force_cpus(monkeypatch, workers)
-            runs.append(sde.simulate(cfg))
+        runs = [sde.simulate(cfg) for _ in range(3)]
         for run in runs[1:]:
             assert np.array_equal(run, runs[0])
+        assert np.array_equal(runs[0], _reference_samples(cfg))
 
     def test_instability_leaves_no_worker_thread(self, monkeypatch):
-        # 64-step blocks: the run blows up at the end of the first block,
-        # while the draw of the second is pending
+        # 64-step blocks: the blow-up is found at the end of the first
+        # block, while the draw of the second is pending
         monkeypatch.setattr(sde, "_NOISE_VALUES", 2 * 64 * 8)
-        force_cpus(monkeypatch, 3)
         cfg = sde.SdeConfig(M=20.0, tau=1.0, A=0.5, dt=0.05, steps=5000,
                             n_paths=8, burn_in=10, seed=1)
         before = threading.active_count()
