@@ -13,35 +13,25 @@ significant digits and is deterministic given arguments and seed.
 import argparse
 import sys
 
-import numpy as np
-
-from . import datasets, qdist, qft, qseq, sde, selfcheck
-from .datasets import Dataset, _fmt
 from .errors import CouplingError
-from .qcore import (
-    dn_exp_q,
-    exp_q,
-    intn_exp_q,
-    ln_q,
-    q_add,
-    q_div,
-    q_prod,
-    q_sub,
-    sin_q,
-    sinc_q,
-)
 
-_UNARY = {"exp_q": exp_q, "ln_q": ln_q, "sin_q": sin_q, "sinc_q": sinc_q}
-_BINARY = {"q_add": q_add, "q_sub": q_sub, "q_prod": q_prod, "q_div": q_div}
-_CALCULUS = {"dn_exp_q": dn_exp_q, "intn_exp_q": intn_exp_q}
+# Each handler imports the modules it runs, so a cold process compiles
+# only those: seq and dist cq load no numpy.
+_UNARY = ("exp_q", "ln_q", "sin_q", "sinc_q")
+_BINARY = ("q_add", "q_sub", "q_prod", "q_div")
+_CALCULUS = ("dn_exp_q", "intn_exp_q")
 
 _SEQ_MAPS = {
-    "hat": qseq.conj_hat,
-    "tilde": qseq.conj_tilde,
-    "additive": qseq.dual_additive,
-    "multiplicative": qseq.dual_multiplicative,
-    "translate": qseq.translate,
+    "hat": "conj_hat",
+    "tilde": "conj_tilde",
+    "additive": "dual_additive",
+    "multiplicative": "dual_multiplicative",
+    "translate": "translate",
 }
+
+
+def _fmt(v) -> str:
+    return f"{v + 0.0:.12g}"
 
 
 def _add_output_flags(p):
@@ -56,8 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eval", help="evaluate a deformed function")
-    p.add_argument("function",
-                   choices=sorted(_UNARY | _BINARY | _CALCULUS))
+    p.add_argument("function", choices=sorted(_UNARY + _BINARY + _CALCULUS))
     p.add_argument("--q", type=float, required=True)
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--y", type=float, default=None)
@@ -120,7 +109,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(dataset: Dataset, fmt: str, out):
+def _emit(dataset, fmt: str, out):
+    from . import datasets
+
     text = datasets.to_csv(dataset) if fmt == "csv" else datasets.to_json(
         dataset)
     if out is None:
@@ -131,32 +122,41 @@ def _emit(dataset: Dataset, fmt: str, out):
 
 
 def _cmd_eval(args, parser):
+    from . import qcore
+
     fn = args.function
+    kernel = getattr(qcore, fn)
     if fn in _UNARY:
-        value = _UNARY[fn](args.q, args.x)
+        value = kernel(args.q, args.x)
     elif fn in _BINARY:
         if args.y is None:
             parser.error(f"eval {fn} requires --y")
-        value = _BINARY[fn](args.q, args.x, args.y)
+        value = kernel(args.q, args.x, args.y)
     else:
-        value = _CALCULUS[fn](args.q, args.a, args.n, args.x)
+        value = kernel(args.q, args.a, args.n, args.x)
     print(_fmt(value))
     return 0
 
 
 def _cmd_seq(args, parser):
+    from . import qseq
+
     if args.map == "z":
         value = qseq.z_alpha_n(args.q, args.alpha, args.n)
     else:
-        value = _SEQ_MAPS[args.map](args.q)
+        value = getattr(qseq, _SEQ_MAPS[args.map])(args.q)
     print(_fmt(value))
     return 0
 
 
 def _cmd_dist(args, parser):
     if args.what == "cq":
-        print(_fmt(qdist.c_q(args.q)))
+        from . import qseq
+
+        print(_fmt(qseq.c_q(args.q)))
         return 0
+    from . import qdist
+
     dist = qdist.QGaussian(args.q, args.mu, args.sigma_sq)
     if args.what == "pdf":
         if args.x is None:
@@ -165,6 +165,8 @@ def _cmd_dist(args, parser):
         return 0
     if args.n is None or args.seed is None:
         parser.error("dist sample requires --n and --seed")
+    from .datasets import Dataset
+
     xs = qdist.sample_qgaussian(dist, args.n, args.seed)
     meta = {"q": args.q, "mu": args.mu, "sigma_sq": args.sigma_sq,
             "seed": args.seed}
@@ -173,6 +175,11 @@ def _cmd_dist(args, parser):
 
 
 def _cmd_transform(args, parser):
+    import numpy as np
+
+    from . import qft
+    from .datasets import Dataset
+
     if args.n < 1:
         parser.error("--n must be >= 1")
     ws = np.linspace(args.w_min, args.w_max, args.n)
@@ -212,6 +219,11 @@ def _cmd_transform(args, parser):
 
 
 def _cmd_simulate(args, parser):
+    import numpy as np
+
+    from . import sde
+    from .datasets import Dataset
+
     cfg = sde.SdeConfig(M=args.m, A=args.a, tau=args.tau, dt=args.dt,
                         steps=args.steps, n_paths=args.n_paths,
                         burn_in=args.burn_in, seed=args.seed)
@@ -238,11 +250,15 @@ def _cmd_simulate(args, parser):
 
 
 def _cmd_figure(args, parser):
+    from . import datasets
+
     _emit(datasets.figure_dataset(args.id), args.format, args.out)
     return 0
 
 
 def _cmd_selfcheck(args, parser):
+    from . import selfcheck
+
     return 0 if selfcheck.run_selfcheck() else 1
 
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from . import qdist, qft
 from .qseq import conj_hat
 
 _TINY = np.finfo(float).smallest_normal
@@ -46,10 +45,6 @@ class Dataset:
         self.rows = rows.reshape(-1, width).astype(float, copy=False)
         if np.isnan(self.rows).any():
             raise DomainError("NaN entries are not allowed")
-
-
-def _fmt(v) -> str:
-    return f"{v + 0.0:.12g}"
 
 
 def _cells(dataset: Dataset) -> tuple:
@@ -99,6 +94,9 @@ def figure_dataset(fid: int) -> Dataset:
     3: normalization constants of conjugate couplings and their ratio;
     4: closed-form transform of the uniform density across couplings.
     """
+    # imported here: emitting a table needs neither module
+    from . import qdist, qft
+
     if fid == 1:
         qs = np.arange(-190, 601) / 100.0
         hat = [conj_hat(q) for q in qs.tolist()]

@@ -36,9 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericsError, PoleError, SingularDivisorError
-
-# Couplings below this magnitude are treated as the q -> 0 limit.
-COUPLING_EPS = 1e-10
+from .qseq import COUPLING_EPS, _finite, coupling_value
 
 # The band leaves its continuation past this |q*z|: there the dropped
 # term q^2 z^3/3 of the exponent passes the exact form's rounding, about
@@ -56,18 +54,6 @@ HEAVY_TAIL = "heavy-tail"
 ZERO = "zero"
 COMPACT = "compact"
 SUBNORMALIZABLE = "subnormalizable"
-
-
-def _finite(value, name: str) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise DomainError(f"{name} must be finite, got {value!r}")
-    return value
-
-
-def coupling_value(q) -> float:
-    """Extract a validated float coupling from a float or Coupling."""
-    return _finite(q, "coupling q")
 
 
 def classify_coupling(q) -> str:
@@ -357,11 +343,18 @@ def power_rescale(q, x, p) -> tuple[float, float]:
 
 def exp_q_polar(q, y):
     """exp_q(i*y) = exp(log_mod) * e^(i*angle) for real finite y, as the
-    fresh real arrays (log_mod, angle) of y's shape.  The base 1 + i*q*y
-    never meets the branch cut, and exp_q(-i*y) is the conjugate of
-    exp_q(i*y): (log_mod, -angle)."""
+    pair (log_mod, angle): two floats for a scalar y, fresh real arrays
+    of y's shape for an array y; a y that is not finite raises
+    DomainError.  The base 1 + i*q*y never meets the branch cut, and
+    exp_q(-i*y) is the conjugate of exp_q(i*y): (log_mod, -angle)."""
     q = coupling_value(q)
-    return _log_polar(q, np.asarray(y, dtype=float))
+    y = np.asarray(y, dtype=float)
+    if not np.isfinite(y).all():
+        raise DomainError("y must be finite")
+    log_mod, angle = _log_polar(q, np.atleast_1d(y))
+    if y.ndim == 0:
+        return float(log_mod[0]), float(angle[0])
+    return log_mod, angle
 
 
 def _log_polar(q: float, y: np.ndarray):

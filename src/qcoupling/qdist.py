@@ -26,49 +26,13 @@ import numpy as np
 
 from ._quadrature import line_quad
 from .errors import DomainError, NumericsError
-from .qcore import COUPLING_EPS, _finite, coupling_value, exp_q_neg_power
-from .qseq import conj_hat
+from .qcore import exp_q_neg_power
+# c_q lives in qseq, free of numpy; selfcheck looks it up as qdist.c_q
+from .qseq import COUPLING_EPS, _finite, c_q, conj_hat, coupling_value
 
 PRESERVE_VARIANCE = "preserve-variance"
 PRESERVE_BETA = "preserve-beta"
 PRESERVE_NORMALIZATION = "preserve-normalization"
-
-
-def _gammaln_halfdiff(a):
-    """lgamma(a) - lgamma(a + 0.5) for a > 0, without cancellation.
-
-    The direct difference of two lgamma values loses ~eps*lgamma(a)
-    absolute accuracy, which matters when a is large (small |q|); the
-    Stirling-series difference keeps the absolute error near eps.
-    """
-    if a < 25.0:
-        return math.lgamma(a) - math.lgamma(a + 0.5)
-    b = a + 0.5
-    out = 0.5 - a * math.log1p(0.5 / a) - 0.5 * math.log(a)
-    out += (1.0 / a - 1.0 / b) / 12.0
-    out -= (a ** -3 - b ** -3) / 360.0
-    out += (a ** -5 - b ** -5) / 1260.0
-    return out
-
-
-def c_q(q) -> float:
-    """Normalization constant of the standard member: the integral of
-    exp_q(-x^2) over the line.
-
-    Three branches (poles of the Gamma pairs cancel in each):
-    q > 0 compact, q = 0 classical, -2 < q < 0 heavy-tail.  The classical
-    band |q| <= COUPLING_EPS integrates exp_q's continuation
-    exp(-x^2 (1 + q x^2/2)), which gives sqrt(pi) (1 - 3q/8).
-    """
-    q = coupling_value(q)
-    if q <= -2.0:
-        raise DomainError(f"not normalizable for coupling {q} <= -2")
-    if abs(q) <= COUPLING_EPS:
-        return math.sqrt(math.pi) * (1.0 - 0.375 * q)
-    if q > 0.0:
-        return math.sqrt(math.pi / q) * math.exp(_gammaln_halfdiff(1.0 / q + 1.0))
-    r = -1.0 / q
-    return math.sqrt(math.pi * r) * math.exp(_gammaln_halfdiff(r - 0.5))
 
 
 @dataclass(frozen=True)

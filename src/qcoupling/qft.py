@@ -42,10 +42,9 @@ import numpy as np
 
 from ._quadrature import _EPS, _X_END, cosine_quad, line_quad
 from .errors import DomainError, NumericsError, PoleError, UnsupportedInputError
-from .qcore import (COUPLING_EPS, coupling_value, exp_q, exp_q_neg_power, exp_q_polar,
-                    ln_q, sinc_q)
-from .qdist import DensityGrid, QFamily, c_q
-from .qseq import conj_tilde, z_n
+from .qcore import _log_polar, exp_q, exp_q_neg_power, ln_q, sinc_q
+from .qdist import DensityGrid, QFamily
+from .qseq import COUPLING_EPS, c_q, conj_tilde, coupling_value, z_n
 
 _MATCH_TOL = 1e-9
 
@@ -156,7 +155,7 @@ def _polar_kernel(q: float, xv: np.ndarray, v: np.ndarray, ws: np.ndarray):
     xv = x v^-q, as (nodes x ws) real matrices; past the float range
     they saturate, and the caller rejects what is not finite."""
     with np.errstate(over="ignore"):
-        log_mod, angle = exp_q_polar(q, xv[:, None] * ws)
+        log_mod, angle = _log_polar(q, xv[:, None] * ws)
         r = np.exp(log_mod, out=log_mod)
     r *= v[:, None]
     return r, angle

@@ -11,6 +11,10 @@ Two conjugations act on the family: conj_hat (the alpha = 2, n = 1
 reflection, an involution with pole at q = -2) and conj_tilde (the
 alpha = 1 analogue, pole at q = -1).  translate moves between this
 parameterization and the one-minus convention.
+
+The module also holds the package's scalar validators (coupling_value,
+the classical band COUPLING_EPS) and the normalization constant c_q, so
+that these scalar functions of q run without numpy.
 """
 
 from __future__ import annotations
@@ -20,9 +24,23 @@ import sys
 from typing import NamedTuple
 
 from .errors import DomainError, PoleError
-from .qcore import _finite, coupling_value
+
+# Couplings below this magnitude are treated as the q -> 0 limit.
+COUPLING_EPS = 1e-10
 
 _POLE_TOL = 1e-14
+
+
+def _finite(value, name: str) -> float:
+    value = float(value)
+    if not math.isfinite(value):
+        raise DomainError(f"{name} must be finite, got {value!r}")
+    return value
+
+
+def coupling_value(q) -> float:
+    """Extract a validated float coupling from a float or Coupling."""
+    return _finite(q, "coupling q")
 
 
 def _ratio(alpha: float, q: float, n, what: str) -> float:
@@ -113,3 +131,40 @@ def translate(qprime) -> float:
     """Map a one-minus convention parameter to this one: q = 1 - q'.
     The map is its own inverse."""
     return 1.0 - coupling_value(qprime)
+
+
+def _gammaln_halfdiff(a):
+    """lgamma(a) - lgamma(a + 0.5) for a > 0, without cancellation.
+
+    The direct difference of two lgamma values loses ~eps*lgamma(a)
+    absolute accuracy, which matters when a is large (small |q|); the
+    Stirling-series difference keeps the absolute error near eps.
+    """
+    if a < 25.0:
+        return math.lgamma(a) - math.lgamma(a + 0.5)
+    b = a + 0.5
+    out = 0.5 - a * math.log1p(0.5 / a) - 0.5 * math.log(a)
+    out += (1.0 / a - 1.0 / b) / 12.0
+    out -= (a ** -3 - b ** -3) / 360.0
+    out += (a ** -5 - b ** -5) / 1260.0
+    return out
+
+
+def c_q(q) -> float:
+    """Normalization constant of the standard member: the integral of
+    exp_q(-x^2) over the line.
+
+    Three branches (poles of the Gamma pairs cancel in each):
+    q > 0 compact, q = 0 classical, -2 < q < 0 heavy-tail.  The classical
+    band |q| <= COUPLING_EPS integrates exp_q's continuation
+    exp(-x^2 (1 + q x^2/2)), which gives sqrt(pi) (1 - 3q/8).
+    """
+    q = coupling_value(q)
+    if q <= -2.0:
+        raise DomainError(f"not normalizable for coupling {q} <= -2")
+    if abs(q) <= COUPLING_EPS:
+        return math.sqrt(math.pi) * (1.0 - 0.375 * q)
+    if q > 0.0:
+        return math.sqrt(math.pi / q) * math.exp(_gammaln_halfdiff(1.0 / q + 1.0))
+    r = -1.0 / q
+    return math.sqrt(math.pi * r) * math.exp(_gammaln_halfdiff(r - 0.5))

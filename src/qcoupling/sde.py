@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, InstabilityError, InsufficientDataError
-from .qcore import COUPLING_EPS
+from .qseq import COUPLING_EPS
 from . import qdist
 
 _BLOWUP = 1.0e12

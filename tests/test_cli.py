@@ -526,3 +526,87 @@ def test_scalar_routes_load_no_scipy():
     assert report["after_api"] == []
     commands = {args[0] for args in _SCIPY_FREE}
     assert commands == set(cli._HANDLERS)
+
+
+# What a cold process of each subcommand loads of the package beyond
+# qcoupling and qcoupling.errors, and whether it loads numpy: every loaded
+# module is compiled again on each start when bytecode is not cached.
+_MODULE_BUDGET = [
+    (["eval", "exp_q", "--q", "0.5", "--x", "1.2"], {"qcore", "qseq"}, True),
+    (["seq", "hat", "--q", "1"], {"qseq"}, False),
+    (["dist", "cq", "--q", "-1"], {"qseq"}, False),
+    (["dist", "pdf", "--q", "0.5", "--x", "0.3"],
+     {"_quadrature", "qcore", "qdist", "qseq"}, True),
+    (["dist", "sample", "--q", "-0.5", "--n", "20", "--seed", "7"],
+     {"_quadrature", "datasets", "qcore", "qdist", "qseq"}, True),
+    (["transform", "gaussian", "--q", "0.5", "--n", "3"],
+     {"_quadrature", "datasets", "qcore", "qdist", "qft", "qseq"}, True),
+    (["simulate", "--seed", "3", "--n-paths", "4", "--steps", "50",
+      "--burn-in", "10"],
+     {"_quadrature", "datasets", "qcore", "qdist", "qseq", "sde"}, True),
+    (["figure", "3"],
+     {"_quadrature", "datasets", "qcore", "qdist", "qft", "qseq"}, True),
+    (["selfcheck"],
+     {"_quadrature", "qcore", "qdist", "qft", "qseq", "sde", "selfcheck"},
+     True),
+]
+
+
+def _fresh_report(script, *argv):
+    proc = subprocess.run([sys.executable, "-c", script, *argv],
+                          capture_output=True, text=True, env=_src_env(),
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("args, modules, numpy_loaded", _MODULE_BUDGET,
+                         ids=[" ".join(a[:2]) for a, _, _ in _MODULE_BUDGET])
+def test_subcommand_module_budget(args, modules, numpy_loaded):
+    script = textwrap.dedent("""
+        import contextlib, io, json, runpy, sys
+
+        sys.argv = ["qcoupling", *json.loads(sys.argv[1])]
+        with contextlib.redirect_stdout(io.StringIO()):
+            try:
+                runpy.run_module("qcoupling.cli", run_name="__main__",
+                                 alter_sys=True)
+            except SystemExit as e:
+                code = e.code
+        print(json.dumps({
+            "code": code, "numpy": "numpy" in sys.modules,
+            "modules": sorted(m for m in sys.modules
+                              if m.startswith("qcoupling."))}))
+    """)
+    report = _fresh_report(script, json.dumps(args))
+    assert report["code"] == 0
+    assert report["numpy"] == numpy_loaded
+    assert set(report["modules"]) == {
+        f"qcoupling.{m}" for m in modules | {"errors"}}
+
+
+def test_module_budget_covers_every_subcommand():
+    assert {args[0] for args, _, _ in _MODULE_BUDGET} == set(cli._HANDLERS)
+
+
+def test_package_loads_submodules_on_access():
+    script = textwrap.dedent("""
+        import json, sys
+        import qcoupling
+
+        before = sorted(m for m in sys.modules if m.startswith("qcoupling."))
+        resolved = callable(qcoupling.qft.qft_numeric)
+        print(json.dumps({"before": before, "resolved": resolved,
+                          "all": qcoupling.__all__,
+                          "dir": dir(qcoupling)}))
+    """)
+    report = _fresh_report(script)
+    assert report["before"] == ["qcoupling.errors"]
+    assert report["resolved"]
+    assert set(report["all"]) <= set(report["dir"])
+    with pytest.raises(AttributeError, match="no_such_module"):
+        qcoupling.no_such_module
+
+
+def test_scalar_functions_have_one_home():
+    assert qdist.c_q is qseq.c_q

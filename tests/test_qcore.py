@@ -437,6 +437,21 @@ class TestComplexAndTrig:
         assert angle == pytest.approx(0.25 * math.pi, rel=1e-15)
         assert _polar_error(-1.0, 1.0) <= 1e-15
 
+    @pytest.mark.parametrize("q, y", [(0.5, math.nan), (0.5, math.inf),
+                                      (0.0, math.inf), (-1.5, [0.5, -math.inf])])
+    def test_polar_rejects_non_finite_argument(self, q, y):
+        with pytest.raises(DomainError, match="^y must be finite$"):
+            exp_q_polar(q, y)
+
+    @pytest.mark.parametrize("q", [0.0, 3e-11, 0.5, -1.5])
+    def test_polar_pair_types(self, q):
+        # a scalar y gives two floats, equal to the one-element array's
+        pair = exp_q_polar(q, 0.7)
+        assert [type(v) for v in pair] == [float, float]
+        assert pair == tuple(v[0] for v in exp_q_polar(q, [0.7]))
+        log_mod, angle = exp_q_polar(q, np.full((2, 3), 0.7))
+        assert log_mod.shape == angle.shape == (2, 3)
+
     @pytest.mark.filterwarnings("error")
     def test_out_of_range_raises_numerics_error(self):
         # the modulus (1 + (q x)^2)^(1/2q) leaves the float range, for an
