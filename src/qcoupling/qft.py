@@ -282,8 +282,11 @@ def _gaussian_hat_numeric(shape: QFamily, q: float, ws: np.ndarray):
     def back(v: np.ndarray) -> np.ndarray:
         out = np.zeros_like(v)
         pos = v > 0.0
-        out[pos] = form.amplitude * exp_q(
-            form.q_out, scale * ln_q(hat.q_out, v[pos] / hat.amplitude))
+        # ln_q of a tiny v is -inf; past -1/q_out, the support edge,
+        # exp_q is 0 already, and -2/q_out stays past it after rounding
+        arg = np.maximum(scale * ln_q(hat.q_out, v[pos] / hat.amplitude),
+                         -2.0 / form.q_out)
+        out[pos] = form.amplitude * exp_q(form.q_out, arg)
         return out
 
     out = back(hat_vals)

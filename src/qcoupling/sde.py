@@ -15,7 +15,8 @@ density is the compact prediction
 normal per path and step from one seeded stream, and returns stationary
 samples; `fit_qgaussian` recovers (q, mu, beta) from samples by maximum
 likelihood, which stays well behaved in the heavy tail regime where
-sample moments diverge.
+sample moments diverge, with damped Newton steps on the likelihood's
+closed-form derivatives.
 """
 
 import math
@@ -24,8 +25,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, InstabilityError, InsufficientDataError
-from .qseq import COUPLING_EPS
+from .errors import (DomainError, InstabilityError, InsufficientDataError,
+                     NumericsError)
 from . import qdist
 
 _BLOWUP = 1.0e12
@@ -87,8 +88,8 @@ def fp_coefficients(M, tau, A, x, g=None, gprime=None):
 class SdeConfig:
     """Euler-Maruyama run configuration.
 
-    g names the noise coupling function; only "linear", g(x) = x, is
-    implemented. seed is None or a non-negative integer.
+    The noise couples through g(x) = x. seed is None or a non-negative
+    integer.
     burn_in defaults to ceil(10 / (tau dt)) steps, ten relaxation times.
     Paths start at the origin; sampling keeps one point per path every
     max(1, ceil(1 / (tau dt))) steps after burn-in, about one relaxation
@@ -98,7 +99,6 @@ class SdeConfig:
     M: float = 0.25
     A: float = 0.5
     tau: float = 0.75
-    g: str = "linear"
     dt: float = 0.01
     steps: int = 30_000
     n_paths: int = 500
@@ -107,8 +107,6 @@ class SdeConfig:
 
     def __post_init__(self):
         _check_model_params(self.M, self.tau, self.A)
-        if self.g != "linear":
-            raise DomainError(f"unknown g choice {self.g!r}")
         # dt > 0 and finite; below the lower end the default burn-in,
         # 10/(tau dt) steps, overflows
         if not 10.0 / np.finfo(float).max < self.dt * self.tau < 0.1:
@@ -265,7 +263,8 @@ _ANCHOR_LNIQR1 = np.log(np.array([
 ]))
 
 _Q_FLOOR = -2.0 + 1.0e-6
-_PENALTY = 1.0e12
+_MIN_SAMPLES = 1000
+_MAX_NEWTON = 100
 
 
 def _initial_guess(x):
@@ -280,115 +279,111 @@ def _initial_guess(x):
     return q0, float(p50), 2.0 * (lniqr1 - math.log(iqr))
 
 
-def _neg_loglik(theta, x):
+def _loglik(theta, x, derivs):
+    """Log-likelihood of theta = (q, mu, ln beta) over the samples x, with
+    its gradient and Hessian in theta if derivs, in one pass; -inf where
+    q <= _Q_FLOOR, u overflows or a sample is outside the support.
+
+    A sample's data term is log(1 - t)/q, u = beta (x - mu)^2, t = q u.
+    Derivatives are written in r = t/(1 - t) and w = u/(1 - t) = r/q,
+    bounded far in a heavy tail; q-derivatives cancel as r -> 0 and take
+    a series there, also at q = 0.  ln c_q is differenced above q = -2.
+    """
     q, mu, lnb = theta
-    if not np.all(np.isfinite(theta)):
-        return 1e3 * _PENALTY
-    if q <= _Q_FLOOR:
-        return _PENALTY * (1.0 + (_Q_FLOOR - q))
-    if q > 60.0:
-        return _PENALTY * (1.0 + (q - 60.0))
-    if abs(lnb) > 60.0:
-        return _PENALTY * (1.0 + (abs(lnb) - 60.0))
+    if not (q > _Q_FLOOR and lnb < 700.0):
+        return -math.inf, None, None
     beta = math.exp(lnb)
-    arg = -q * beta * np.square(x - mu)
-    if q > 0.0:
-        worst = 1.0 + float(arg.min())
-        if worst <= 0.0:
-            # sample outside the compact support
-            return _PENALTY * (1.0 - worst)
-    if abs(q) <= COUPLING_EPS:
-        core = -beta * float(np.square(x - mu).sum())
-    else:
-        core = float(np.log1p(arg).sum()) / q
+    y = x - mu
+    with np.errstate(over="ignore"):
+        u = beta * y * y
+    t = q * u
+    if not u.max() < math.inf or q > 0.0 and not t.max() < 1.0:
+        return -math.inf, None, None
+    p = 1.0 / (1.0 - t)
+    r, w = t * p, u * p
+    # where r is small the data term and its first two q-derivatives are
+    # -w S_1, -w^2 S_2 and -2 w^3 S_3, S_m = sum_j (-r)^j/(j + m), j < 5
+    small = np.abs(r) < 1.0e-3
+    ws, rs, rb = w[small], -r[small], r[~small]
+    terms = []
+    for m in (1, 2, 3):
+        s_m = np.polyval(1.0 / np.arange(m + 4, m - 1, -1), rs)
+        terms.append(-float((ws ** m * s_m).sum()))
+    terms[2] *= 2.0
+    if rb.size:
+        # elsewhere they are e/q, -(r + e)/q^2 and (2 (r + e) - r^2)/q^3
+        # with e = log(1 - t), each summed before dividing
+        e, sr = float(np.log1p(-t[~small]).sum()), float(rb.sum())
+        terms[0] += e / q
+        terms[1] -= (sr + e) / q ** 2
+        terms[2] += (2.0 * (sr + e) - float((rb * rb).sum())) / q ** 3
+    h = min(1.0e-4, 0.5 * (q + 2.0))
+    lo, lc, hi = (math.log(qdist.c_q(v)) for v in (q - h, q, q + h))
     n = x.size
-    ll = n * (0.5 * lnb - math.log(qdist.c_q(q))) + core
-    return -ll
+    ll = n * (0.5 * lnb - lc) + terms[0]
+    if not derivs:
+        return ll, None, None
+    # in mu and ln beta through du/dmu = -2 beta y and du/dln beta = u
+    py, wp = p * y, w * p
+    h_qm, h_qs = 2.0 * beta * float((wp * y).sum()), -float((w * w).sum())
+    h_ms = 2.0 * beta * float((py * p).sum())
+    grad = np.array([terms[1] - n * (hi - lo) / (2.0 * h),
+                     2.0 * beta * float(py.sum()), 0.5 * n - float(w.sum())])
+    hess = np.array([
+        [terms[2] - n * (hi - 2.0 * lc + lo) / (h * h), h_qm, h_qs],
+        [h_qm, -2.0 * beta * float((p + 2.0 * r * p).sum()), h_ms],
+        [h_qs, h_ms, -float(wp.sum())]])
+    return ll, grad, hess
 
 
-def fit_qgaussian(samples, min_n=1000):
+def fit_qgaussian(samples):
     """Maximum-likelihood fit of (q, mu, beta) to 1-d samples.
 
-    Quantile-based initialization followed by Nelder-Mead on
-    (q, mu, ln beta), log-likelihood tolerance 1e-8, at most 10^4
-    evaluations (converged=False reports the best point found).
-    Requires at least min_n samples.
+    From the quantile-based start, on the samples centred at their
+    median and scaled to the start's width, damped Newton steps climb
+    the log-likelihood in (q, mu, ln beta).  Each step is set by the
+    Hessian made negative definite and halved until it gains an Armijo
+    share of its prediction, so every point taken lies in the support.
+    The search stops once the Newton decrement is at most 1e-10; else,
+    after _MAX_NEWTON steps or a step that gains nothing, it reports its
+    last point with converged=False.  Needs _MIN_SAMPLES samples; raises
+    NumericsError where the scaled samples' squares overflow.
     """
     x = np.asarray(samples, dtype=float).ravel()
-    if x.size < min_n:
+    if x.size < _MIN_SAMPLES:
         raise InsufficientDataError(
-            f"need at least {min_n} samples, got {x.size}")
+            f"need at least {_MIN_SAMPLES} samples, got {x.size}")
     if not np.all(np.isfinite(x)):
         raise DomainError("samples must be finite")
 
-    theta, fun, done = _nelder_mead(lambda th: _neg_loglik(th, x),
-                                    _initial_guess(x))
+    q, mu0, lnb0 = _initial_guess(x)
+    # the start is (q, 0, 0) on the scaled samples z; a compact start
+    # holds every sample inside its support
+    with np.errstate(over="ignore"):
+        z = (x - mu0) * math.exp(0.5 * lnb0)
+        zz = float(np.max(z * z))
+    if not zz < math.inf:
+        raise NumericsError("samples spread past the likelihood's range")
+    if q > 0.0:
+        q = min(q, 0.5 / zz)
+    theta = np.array([q, 0.0, 0.0])
+    ll, grad, hess = _loglik(theta, z, True)
+    for _ in range(_MAX_NEWTON):
+        lam, vec = np.linalg.eigh(hess)
+        step = vec @ ((vec.T @ grad) / np.abs(lam))
+        decrement = float(grad @ step)
+        if decrement <= 1.0e-10:
+            break
+        a = 1.0
+        while a > 1.0e-18 and _loglik(theta + a * step, z, False)[0] < (
+                ll + 1.0e-4 * a * decrement):
+            a *= 0.5
+        if a <= 1.0e-18:
+            break
+        theta = theta + a * step
+        ll, grad, hess = _loglik(theta, z, True)
     q, mu, lnb = theta
-    converged = done and fun < _PENALTY
-    return FitReport(float(q), math.exp(lnb), float(mu),
-                     -float(fun), int(x.size), converged)
-
-
-class _OutOfEvaluations(Exception):
-    """The simplex search has used its evaluation budget."""
-
-
-def _nelder_mead(fn, x0, max_evals=10_000):
-    """Minimise fn from x0 with the Nelder-Mead simplex, step for step
-    as scipy's: initial steps of 5% (0.00025 from zero); reflection 1,
-    expansion 2, contraction and shrink 1/2; stop once the simplex
-    spans at most 1e-6 and its values at most 1e-8.  Returns the best
-    point, its value and whether it stopped within max_evals.  (Each
-    iteration evaluates fn at least once, so scipy's equal iteration
-    budget never binds first.)"""
-    evals = 0
-
-    def f(th):
-        nonlocal evals
-        if evals >= max_evals:
-            raise _OutOfEvaluations
-        evals += 1
-        return fn(th)
-
-    x0 = np.asarray(x0, dtype=float)
-    n = x0.size
-    sim = np.tile(x0, (n + 1, 1))
-    for k in range(n):
-        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
-    fsim = np.array([f(p) for p in sim])
-    order = np.argsort(fsim)
-    sim, fsim = sim[order], fsim[order]
-    while evals < max_evals:
-        try:
-            if (np.max(np.abs(sim[1:] - sim[0])) <= 1e-6
-                    and np.max(np.abs(fsim[0] - fsim[1:])) <= 1e-8):
-                break
-            xbar = sim[:-1].sum(axis=0) / n
-            xr = 2.0 * xbar - sim[-1]
-            fxr = f(xr)
-            if fxr < fsim[0]:
-                xe = 3.0 * xbar - 2.0 * sim[-1]
-                fxe = f(xe)
-                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-            elif fxr < fsim[-2]:
-                sim[-1], fsim[-1] = xr, fxr
-            else:
-                if fxr < fsim[-1]:
-                    xc = 1.5 * xbar - 0.5 * sim[-1]
-                    fxc = f(xc)
-                    shrink = fxc > fxr
-                else:
-                    xc = 0.5 * xbar + 0.5 * sim[-1]
-                    fxc = f(xc)
-                    shrink = fxc >= fsim[-1]
-                if shrink:
-                    for j in range(1, n + 1):
-                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
-                        fsim[j] = f(sim[j])
-                else:
-                    sim[-1], fsim[-1] = xc, fxc
-        except _OutOfEvaluations:
-            pass
-        order = np.argsort(fsim)
-        sim, fsim = sim[order], fsim[order]
-    return sim[0], float(fsim.min()), evals < max_evals
+    return FitReport(float(q), math.exp(lnb + lnb0),
+                     mu0 + float(mu) * math.exp(-0.5 * lnb0),
+                     ll + 0.5 * x.size * lnb0, int(x.size),
+                     decrement <= 1.0e-10)

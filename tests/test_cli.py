@@ -62,6 +62,16 @@ class TestExitCodes:
         assert out.strip() == "inf"
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("method", ["closed", "numeric"])
+    def test_compact_transform_far_frequency_prints_zero(self, capsys, method):
+        code, out, err = run_cli(
+            ["transform", "gaussian", "--q", "2", "--method", method,
+             "--w-min", "1e160", "--w-max", "1e160", "--n", "1"], capsys)
+        assert (code, err) == (0, "")
+        row = out.splitlines()[1].split(",")
+        assert row[0] == "1e+160" and set(row[1:]) == {"0"}
+
+    @pytest.mark.filterwarnings("error")
     def test_sample_beyond_float_range_is_numerics_error(self, capsys):
         code, out, err = run_cli(["dist", "sample", "--q", "-1.999", "--n",
                                   "5", "--seed", "1"], capsys)

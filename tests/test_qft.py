@@ -195,6 +195,18 @@ class TestNumericGaussian:
             for res in (qft_numeric(f, q, ws), qft_numeric(grid, q, ws)):
                 assert np.all(np.abs(res.values - closed) <= res.errors)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("q, w", [(2.0, 1e152), (2.0, 1e160),
+                                      (1.5, 1e176), (1.0, 1e207)])
+    def test_compact_far_frequency_is_zero(self, q, w):
+        # the conjugated member's tiny value maps back past the compact
+        # support's edge, where the closed form is 0 as well
+        res = qft_numeric(QGaussianShape(q), q, [-w, w])
+        closed = qft_qgaussian_closed(1.0, 1.0, q).evaluate(np.array([w]))
+        assert closed[0] == 0.0
+        assert np.array_equal(res.values, [0.0, 0.0])
+        assert np.all(res.errors >= 0.0)
+
     @pytest.mark.parametrize("q", [-9.1e-11, 9.1e-11])
     @pytest.mark.parametrize("a", [10.0, 1e3, 1e6])
     def test_grid_bound_covers_rounding_at_large_amplitude(self, q, a):
