@@ -9,6 +9,7 @@ import time
 import numpy as np
 
 from qcoupling import qft
+from qcoupling.errors import PoleError
 from qcoupling.qseq import conj_tilde
 
 
@@ -44,9 +45,14 @@ def main():
     print(f"{'q':>8} {'q_out':>10} {'sup rel err':>12} {'est err':>10} "
           f"{'time [s]':>9}")
     for q in args.couplings:
-        if args.conjugate and conj_tilde(q) <= -2.0:
-            print(f"{q:>8.3g} {'excluded band':>23}")
-            continue
+        if args.conjugate:
+            try:
+                excluded = "excluded band" if conj_tilde(q) <= -2.0 else None
+            except PoleError:
+                excluded = "excluded pole"
+            if excluded:
+                print(f"{q:>8.3g} {excluded:>23}")
+                continue
         start = time.perf_counter()
         sup, est, q_out = validate(q, ws, args.a, args.beta, args.conjugate)
         elapsed = time.perf_counter() - start

@@ -335,34 +335,110 @@ def check_seed(seed):
             f"seed must be None or a non-negative integer, got {seed!r}")
 
 
+# Draws per independent stream of sample_qgaussian
+_CHUNK = 1 << 16
+# Beyond this k ln V, expm1 overflows and R takes its exponential tail
+_TAIL = 700.0
+
+
 def sample_qgaussian(dist: QFamily, n: int, seed=None) -> np.ndarray:
     """Draw n samples; deterministic for a given seed.
 
-    One exact draw per regime: q < 0 is sqrt(sigma_sq) times a Student-t
-    with nu = -2/q - 1 (NumericsError where draws pass the float range,
-    near q = -2), q = 0 the normal law, and q > 0 is mu + h (2b - 1), h
-    the support half-width and b ~ Beta(1/q + 1, 1/q + 1).
+    One exact draw for every q, the generalized Box-Muller method
+    (Thistleton, Marsh, Nelson & Tsallis, IEEE Trans. Inf. Theory 53,
+    4805, 2007): x = mu + sqrt(sigma_sq) R cos(2 pi U2) with
+    R^2 = -2 ln_k(V) = -2 expm1(k ln V)/k, V = 1 - U1 in (0, 1], and
+    k = 2q/(2 + q) = -q_hat, minus the conjugate coupling; where
+    |k| <= COUPLING_EPS, the classical R^2 = -2 ln V.  Only the cos
+    partner is kept, since for q != 0 the sin partner depends on it.
+    For q > 0, R is held below sqrt(2/k) (1 - 1e-7), strictly inside
+    the support; far in a heavy tail, k ln V > 700, R is
+    sqrt(-2/k) exp(k ln V / 2), and NumericsError is raised where draws
+    pass the float range (near q = -2).
+
+    The draws come in chunks of _CHUNK, chunk j from its own SFC64
+    stream, the j-th child of SeedSequence(seed), filled on up to one
+    thread per available core; the values depend on the seed alone,
+    not on the core count.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if (isinstance(n, bool) or not isinstance(n, (int, np.integer))
+            or n < 1):
         raise DomainError(f"sample count must be a positive integer, got {n!r}")
     check_seed(seed)
     _require_gaussian(dist)
     n = int(n)
-    rng = np.random.default_rng(seed)
-    q, mu, scale = dist.q, dist.mu, math.sqrt(dist.sigma_sq)
+    q = dist.q
+    k = 0.0 if abs(q) <= COUPLING_EPS else -conj_hat(q)
+    scale, mu = math.sqrt(dist.sigma_sq), dist.mu
+    out = np.empty(n)
+    chunks = -(-n // _CHUNK)
+    children = np.random.SeedSequence(seed).spawn(chunks)
+    workers = min(_cores(), chunks)
+    # U2 of each worker's current chunk, allocated here: what a worker
+    # thread allocates stays resident in that thread's malloc arena
+    scratch = np.empty((workers, min(n, _CHUNK)))
 
-    if abs(q) <= COUPLING_EPS:
-        return mu + scale * rng.standard_normal(n)
+    def fill(w):
+        """Chunks w, w + workers, ...; returns their non-finite count."""
+        bad = 0
+        for j in range(w, chunks, workers):
+            o = out[j * _CHUNK:(j + 1) * _CHUNK]
+            u2 = scratch[w, :o.size]
+            rng = np.random.Generator(np.random.SFC64(children[j]))
+            rng.random(out=o)
+            rng.random(out=u2)
+            with np.errstate(over="ignore"):
+                _box_muller_radius(o, k)
+                u2 *= 2.0 * math.pi
+                np.cos(u2, out=u2)
+                o *= u2
+                o *= scale
+                o += mu
+            bad += o.size - np.count_nonzero(np.isfinite(o))
+        return bad
 
-    if q < 0.0:
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            out = mu + scale * rng.standard_t(-2.0 / q - 1.0, n)
-        bad = int(np.count_nonzero(~np.isfinite(out)))
-        if bad:
-            raise NumericsError(
-                f"{bad} of {n} draws at coupling {q} exceed the float range")
-        return out
+    if workers == 1:
+        bad = fill(0)
+    else:
+        from concurrent.futures import ThreadPoolExecutor
 
-    s = 1.0 / q + 1.0
-    half = 1.0 / math.sqrt(q * dist.beta)
-    return mu + half * (2.0 * rng.beta(s, s, n) - 1.0)
+        # this thread fills its share alongside workers - 1 helpers
+        with ThreadPoolExecutor(workers - 1) as pool:
+            helped = pool.map(fill, range(1, workers))
+            bad = fill(0) + sum(helped)
+    if bad:
+        raise NumericsError(
+            f"{bad} of {n} draws at coupling {q} exceed the float range")
+    return out
+
+
+def _box_muller_radius(o, k):
+    """Turn uniforms U1 in [0, 1) into the radius R of the generalized
+    Box-Muller draw, in place: R^2 = -2 expm1(k ln V)/k, V = 1 - U1."""
+    np.subtract(1.0, o, out=o)
+    np.log(o, out=o)
+    if k == 0.0:
+        o *= -2.0
+        np.sqrt(o, out=o)
+        return
+    o *= k
+    if k < 0.0:
+        tail = np.flatnonzero(o > _TAIL)
+        far = math.sqrt(-2.0 / k) * np.exp(0.5 * o[tail])
+    np.expm1(o, out=o)
+    o *= -2.0 / k
+    np.sqrt(o, out=o)
+    if k < 0.0:
+        o[tail] = far
+    else:
+        np.minimum(o, math.sqrt(2.0 / k) * (1.0 - 1e-7), out=o)
+
+
+def _cores():
+    """CPUs this process may run on."""
+    import os
+
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1

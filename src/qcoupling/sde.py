@@ -12,11 +12,11 @@ density is the compact prediction
     q = -2 M / (tau + M),   beta = (tau + M) / (2 A).
 
 `simulate` integrates an ensemble of paths with Euler-Maruyama, one
-normal per path and step from one seeded stream, and returns stationary
-samples; `fit_qgaussian` recovers (q, mu, beta) from samples by maximum
-likelihood, which stays well behaved in the heavy tail regime where
-sample moments diverge, with damped Newton steps on the likelihood's
-closed-form derivatives.
+normal per path and step from one seeded SFC64 stream, and returns
+stationary samples; `fit_qgaussian` recovers (q, mu, beta) from samples
+by maximum likelihood, which stays well behaved in the heavy tail
+regime where sample moments diverge, with damped Newton steps on the
+likelihood's closed-form derivatives.
 """
 
 import math
@@ -143,8 +143,8 @@ def simulate(cfg):
 
     Output is a flat float array ordered by path index, then by step, of
     length cfg.n_paths * cfg.samples_per_path. Deterministic for a given
-    config: the ensemble reads one default_rng(seed) stream in step-major
-    order, one normal per path and step. The Euler-Maruyama step
+    config: the ensemble reads one Generator(SFC64(seed)) stream in
+    step-major order, one normal per path and step. The Euler-Maruyama step
     x (1 + d) + m x N0 + a N1, with d = -(tau - M) dt, m = sqrt(2 M dt)
     and a = sqrt(2 A dt), is taken as x (1 + d) + sqrt(m^2 x^2 + a^2) N:
     given x both are Normal(x (1 + d), m^2 x^2 + a^2), so the chain is
@@ -166,7 +166,7 @@ def simulate(cfg):
     stride = cfg.stride
     n_keep = cfg.samples_per_path
 
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.Generator(np.random.SFC64(cfg.seed))
     x, t, s, x0 = np.zeros(n), np.empty(n), np.empty(n), np.empty(n)
     out = np.empty((n, n_keep))
     k = 0

@@ -6,6 +6,7 @@ independent oracles (classical results, scipy.stats.t, quadrature of
 the defining integrals)."""
 
 import math
+import sys
 import tracemalloc
 
 import mpmath as mp
@@ -14,8 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.stats import norm, t as student_t
+from scipy.stats import beta as beta_law, kstest, norm, t as student_t
 
+from qcoupling import qdist
 from qcoupling.errors import DomainError, NumericsError
 from qcoupling.qcore import Coupling, exp_q
 from qcoupling.qdist import (
@@ -512,6 +514,11 @@ class TestSampler:
         with pytest.raises(DomainError):
             sample_qgaussian(QGaussian(0.5), 0, seed=1)
 
+    @pytest.mark.parametrize("n", [True, False, 2.0])
+    def test_sample_rejects_non_integer_count(self, n):
+        with pytest.raises(DomainError, match="sample count"):
+            sample_qgaussian(QGaussian(0.5), n, seed=1)
+
     @pytest.mark.parametrize("seed", [-1, True, 2.0, "3"])
     def test_sample_rejects_bad_seed(self, seed):
         with pytest.raises(DomainError, match="seed"):
@@ -523,14 +530,14 @@ class TestSampler:
 
     @pytest.mark.filterwarnings("error")
     def test_draws_beyond_float_range_raise(self):
-        # near q = -2 the Student-t has nu = 5e-4 degrees of freedom
-        with pytest.raises(NumericsError, match=r"4 of 5 draws at coupling -1\.999"):
+        # near q = -2 the radius law has k = 2q/(2 + q) = -3998, so R
+        # passes the float range wherever V < 0.7
+        with pytest.raises(NumericsError, match=r"3 of 5 draws at coupling -1\.999"):
             sample_qgaussian(QGaussian(-1.999), 5, seed=1)
 
     @pytest.mark.parametrize("q", [1e-5, 1e-3])
     def test_small_compact_coupling(self, q):
-        # nearly classical compact laws: Beta(1/q + 1, 1/q + 1) with
-        # large parameters, still inside the support
+        # nearly classical compact laws, still inside the support
         d = QGaussian(q, 0.3, 1.7)
         lo, hi = support_bounds(d)
         xs = sample_qgaussian(d, 200_000, seed=6)
@@ -548,3 +555,93 @@ class TestSampler:
         finally:
             tracemalloc.stop()
         assert peak <= 24 * 2**20
+
+
+def _scipy_law(q, mu, sigma_sq):
+    """The q-Gaussian as a frozen scipy law: Student-t with nu = -2/q - 1
+    for q < 0, the normal law at q = 0, and for q > 0 Beta(1/q + 1,
+    1/q + 1) on the support."""
+    scale = math.sqrt(sigma_sq)
+    if q == 0.0:
+        return norm(mu, scale)
+    if q < 0.0:
+        return student_t(-2.0 / q - 1.0, mu, scale)
+    half = scale * math.sqrt((2.0 + q) / q)
+    return beta_law(1.0 / q + 1.0, 1.0 / q + 1.0, mu - half, 2.0 * half)
+
+
+class TestBoxMullerSampler:
+    CHUNK = 1 << 16
+
+    @pytest.mark.parametrize("q", [-1.9, -1.5, -1.0, -0.5, -1e-7, 0.0, 1e-7,
+                                   1e-5, 0.5, 2.0, 8.0, 30.0])
+    def test_law_matches_scipy(self, q):
+        d = QGaussian(q, 0.3, 1.7)
+        xs = sample_qgaussian(d, 200_000, seed=7)
+        assert kstest(xs, _scipy_law(q, 0.3, 1.7).cdf).pvalue > 1e-3
+        lo, hi = support_bounds(d)
+        assert lo < xs.min() and xs.max() < hi
+
+    @pytest.mark.parametrize("q", [0.5, 2.0, 30.0])
+    def test_compact_draws_inside_support_near_its_edge(self, q):
+        # R stays below sqrt(2/k) (1 - 1e-7) however small V = 1 - U1
+        d = QGaussian(q, -2.0, 3.0)
+        lo, hi = support_bounds(d)
+        xs = sample_qgaussian(d, 10**6, seed=8)
+        assert lo < xs.min() and xs.max() < hi
+
+    def test_independent_of_thread_count(self, monkeypatch):
+        # workers fill disjoint slices; with more workers than cores and
+        # a short switch interval a lost or crossed write shows as a
+        # difference
+        n = 8 * self.CHUNK + 5
+        runs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for cores in (1, 2, 8):
+                monkeypatch.setattr(qdist, "_cores", lambda cores=cores: cores)
+                runs.append(sample_qgaussian(QGaussian(-0.7), n, seed=3))
+        finally:
+            sys.setswitchinterval(interval)
+        for run in runs[1:]:
+            assert np.array_equal(run, runs[0])
+
+    @pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, CHUNK + 10])
+    def test_whole_chunks_do_not_depend_on_count(self, n):
+        d = QGaussian(1.5)
+        ref = sample_qgaussian(d, 2 * self.CHUNK, seed=12)
+        xs = sample_qgaussian(d, n, seed=12)
+        whole = n // self.CHUNK * self.CHUNK
+        assert xs.shape == (n,)
+        assert np.array_equal(xs[:whole], ref[:whole])
+        assert np.array_equal(xs, sample_qgaussian(d, n, seed=12))
+
+    @pytest.mark.filterwarnings("error")
+    def test_far_tail_stays_finite(self):
+        # at q = -1.9, k ln V reaches 1400; R^2 would overflow where
+        # R > 1.3e154, but R itself stays inside the float range
+        d = QGaussian(-1.9)
+        for seed in range(10):
+            xs = sample_qgaussian(d, 10**6, seed=seed)
+            assert np.isfinite(xs).all()
+        with pytest.raises(NumericsError, match="exceed the float range"):
+            sample_qgaussian(QGaussian(-1.999), 10**4, seed=0)
+
+    @pytest.mark.parametrize("q", [0.5, 2.0, 30.0, 1e6])
+    def test_compact_radius_stays_below_the_edge(self, q):
+        # the smallest V, 2^-53, takes V^k to 0 in floating point
+        k = -conj_hat(q)
+        r = np.array([0.0, 0.5, 1.0 - 2.0**-53])
+        qdist._box_muller_radius(r, k)
+        assert r[0] == 0.0
+        assert r.max() < math.sqrt(2.0 / k)
+
+    def test_heavy_radius_takes_the_exponential_tail(self):
+        # k ln V = 1396 at the smallest V; R^2 would overflow there
+        k = -conj_hat(-1.9)
+        r = np.array([1.0 - 2.0**-53])
+        with np.errstate(over="ignore"):  # as the sampler calls it
+            qdist._box_muller_radius(r, k)
+        want = mp.sqrt(-2 * mp.expm1(k * mp.log(mp.mpf(2) ** -53)) / k)
+        assert float(r[0]) == pytest.approx(float(want), rel=1e-12)

@@ -10,6 +10,10 @@ Key independent oracles:
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -18,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from qcoupling import qft
 from qcoupling.errors import DomainError, NumericsError, PoleError, UnsupportedInputError
 from qcoupling.qcore import Coupling
 from qcoupling.qdist import DensityGrid, QGaussian, c_q, qgaussian_mass, qgaussian_pdf
@@ -712,3 +717,29 @@ class TestFourierCosineRule:
                                   wvar=abs(w), epsabs=1e-11, limit=800,
                                   limlst=400)
             assert abs(value - 2.0 * half) <= err + 2.0 * half_err
+
+
+@pytest.mark.parametrize("conjugate", [False, True])
+def test_transform_validation_script_runs(conjugate):
+    # the default couplings include the conjugate's pole at q = -1 and
+    # its excluded band below q = -1, each reported as a row
+    script = Path(__file__).parents[1] / "scripts" / "transform_validation.py"
+    src = Path(qft.__file__).parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, str(script), "--n", "5"]
+        + (["--conjugate"] if conjugate else []),
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    kind = "conjugate" if conjugate else "direct"
+    assert lines[0].startswith(f"{kind} transform, a=1.0, beta=1.0, 5 frequencies")
+    assert lines[1].split() == ["q", "q_out", "sup", "rel", "err", "est", "err",
+                                "time", "[s]"]
+    rows = [line.split() for line in lines[2:]]
+    assert [float(r[0]) for r in rows] == [-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]
+    if conjugate:
+        assert rows[0][1:] == ["excluded", "band"]
+        assert rows[1][1:] == ["excluded", "pole"]

@@ -26,7 +26,7 @@ def _reference_states(cfg):
     growth = 1.0 - (cfg.tau - cfg.M) * cfg.dt
     mul2 = 2.0 * cfg.M * cfg.dt
     add2 = 2.0 * cfg.A * cfg.dt
-    noise = np.random.default_rng(cfg.seed).standard_normal(
+    noise = np.random.Generator(np.random.SFC64(cfg.seed)).standard_normal(
         (cfg.steps, cfg.n_paths))
     x = np.zeros(cfg.n_paths)
     for row in noise:
@@ -53,7 +53,7 @@ def _two_normal_state(cfg, seed):
     drift = -(cfg.tau - cfg.M) * cfg.dt
     mul = math.sqrt(2.0 * cfg.M * cfg.dt)
     add = math.sqrt(2.0 * cfg.A * cfg.dt)
-    rng = np.random.default_rng(seed)
+    rng = np.random.Generator(np.random.SFC64(seed))
     x = np.zeros(cfg.n_paths)
     for _ in range(cfg.burn_in):
         n0, n1 = rng.standard_normal((2, cfg.n_paths))
@@ -288,11 +288,11 @@ class TestSimulate:
     def test_noise_failure_reaches_caller(self, monkeypatch):
         # 64-step blocks: the run makes five draws on the helper thread;
         # the first fails, then in a second run the third
-        real_rng = np.random.default_rng
+        real_generator = np.random.Generator
 
         class Failing:
-            def __init__(self, seed):
-                self.rng, self.draws = real_rng(seed), 0
+            def __init__(self, bit_generator):
+                self.rng, self.draws = real_generator(bit_generator), 0
 
             def standard_normal(self, out):
                 self.draws += 1
@@ -302,7 +302,7 @@ class TestSimulate:
 
         for failing_draw in (1, 3):
             monkeypatch.setattr(sde, "_NOISE_VALUES", 2 * 64 * 5)
-            monkeypatch.setattr(np.random, "default_rng", Failing)
+            monkeypatch.setattr(np.random, "Generator", Failing)
             before = threading.active_count()
             with pytest.raises(RuntimeError, match="draw failed"):
                 sde.simulate(sde.SdeConfig(steps=300, n_paths=5, burn_in=37))
