@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericsError, PoleError, SingularDivisorError
-from .qseq import COUPLING_EPS, _finite, coupling_value
+from .qseq import COUPLING_EPS, _POLE_TOL, _finite, _integer, coupling_value
 
 # The band leaves its continuation past this |q*z|: there the dropped
 # term q^2 z^3/3 of the exponent passes the exact form's rounding, about
@@ -46,9 +46,6 @@ _TINY = np.finfo(float).smallest_normal
 
 # exp_q(-beta |x|^alpha) switches to log space past this beta |x|^alpha.
 _LOG_SPACE_ARG = 1e300
-
-# Tolerance for "exactly at a pole" checks on denominators like 1 - n*q.
-_POLE_EPS = 1e-14
 
 HEAVY_TAIL = "heavy-tail"
 ZERO = "zero"
@@ -331,14 +328,18 @@ def _exp_q_of_ln_sum(q: float, ops: np.ndarray, signs=1.0) -> np.ndarray:
 def power_rescale(q, x, p) -> tuple[float, float]:
     """Rewrite exp_q(x)^p as a single deformed exponential.
 
-    Returns (q/p, p*x) so that exp_q(x)**p == exp_q(q/p, p*x).
+    Returns (q/p, p*x) so that exp_q(x)**p == exp_q(q/p, p*x); raises
+    NumericsError where either leaves the float range.
     """
     q = coupling_value(q)
     x = _finite(x, "x")
     p = _finite(p, "p")
     if p == 0.0:
         raise DomainError("power_rescale requires p != 0")
-    return q / p, p * x
+    qp, px = q / p, p * x
+    if not (math.isfinite(qp) and math.isfinite(px)):
+        raise NumericsError(f"q/p {qp!r} or p*x {px!r} is past the float range")
+    return qp, px
 
 
 def exp_q_polar(q, y):
@@ -435,11 +436,11 @@ def dn_exp_q(q, a, n, x):
     """
     q = coupling_value(q)
     a = _finite(a, "a")
-    n = _positive_int(n)
+    n = _integer(n, "order n", 1)
     with np.errstate(over="ignore"):
         coeff = float(np.float64(a) ** n)
     for i in range(1, n + 1):
-        if abs(1.0 - i * q) <= _POLE_EPS * i:
+        if abs(1.0 - i * q) <= _POLE_TOL * i:
             raise PoleError(f"coupling at derivative pole q = 1/{i}")
         coeff *= 1.0 - (i - 1) * q
     if not math.isfinite(coeff):
@@ -458,23 +459,17 @@ def intn_exp_q(q, a, n, x):
     """
     q = coupling_value(q)
     a = _finite(a, "a")
-    n = _positive_int(n)
+    n = _integer(n, "order n", 1)
     if a == 0.0:
         raise DomainError("intn_exp_q requires a != 0")
     with np.errstate(over="ignore"):
         coeff = float(np.float64(a) ** -n)
     for i in range(1, n + 1):
         den = 1.0 + i * q
-        if abs(den) <= _POLE_EPS * i:
+        if abs(den) <= _POLE_TOL * i:
             raise PoleError(f"coupling at antiderivative pole q = -1/{i}")
         coeff /= den
     if not math.isfinite(coeff):
         raise NumericsError(f"the order-{n} coefficient leaves the float range")
     scale = 1.0 + n * q
     return coeff * exp_q(q / scale, scale * a * x)
-
-
-def _positive_int(n) -> int:
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-        raise DomainError(f"order n must be a positive integer, got {n!r}")
-    return int(n)

@@ -13,7 +13,8 @@ members.
 
 The escort (coupled) transform raises probabilities to the power 1 - q
 and renormalizes; applied to a family member it lands back in the
-family, and the escort variance reproduces sigma_sq exactly.
+family, and the escort variance reproduces sigma_sq exactly.  Escort and
+entropy have one kernel each, under np.sum or a grid's trapezoid rule.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from ._quadrature import line_quad
 from .errors import DomainError, NumericsError
 from .qcore import exp_q_neg_power
 # c_q lives in qseq, free of numpy; selfcheck looks it up as qdist.c_q
-from .qseq import COUPLING_EPS, _finite, c_q, conj_hat, coupling_value
+from .qseq import COUPLING_EPS, _finite, _integer, c_q, conj_hat, coupling_value
 
 PRESERVE_VARIANCE = "preserve-variance"
 PRESERVE_BETA = "preserve-beta"
@@ -101,9 +102,12 @@ def QGaussian(q, mu=0.0, sigma_sq=1.0) -> QFamily:
     amplitude sqrt(beta)/c_q(q)."""
     q = coupling_value(q)
     c = c_q(q)
-    if not sigma_sq > 0.0:
-        raise DomainError(f"sigma_sq must be positive, got {sigma_sq!r}")
-    beta = 1.0 / ((2.0 + q) * sigma_sq)
+    sigma_sq = _finite(sigma_sq, "sigma_sq")
+    s = (2.0 + q) * sigma_sq
+    if not (0.0 < s < math.inf and 1.0 / s < math.inf):
+        raise DomainError(f"sigma_sq must be positive with beta = 1/((2+q) "
+                          f"sigma_sq) in the float range, got {sigma_sq!r}")
+    beta = 1.0 / s
     return QFamily(q, 2.0, math.sqrt(beta) / c, beta, mu)
 
 
@@ -172,68 +176,67 @@ def _validated_probs(p) -> np.ndarray:
     return p
 
 
+def _escort(v: np.ndarray, q: float, total) -> np.ndarray:
+    """v^(1-q) / total(v^(1-q)) for values v >= 0 under their sum rule
+    total; zero values, which diverge for q >= 1, and a normalizer past
+    the float range raise DomainError."""
+    pos = v > 0.0
+    if q >= 1.0 and not pos.all():
+        raise DomainError("escort with q >= 1 diverges on zero values")
+    w = np.zeros_like(v)
+    with np.errstate(over="ignore"):
+        w[pos] = v[pos] ** (1.0 - q)
+        z = float(total(w))
+    if not (math.isfinite(z) and z > 0.0):
+        raise DomainError("escort normalizer is not finite and positive")
+    return w / z
+
+
+def _entropy(v: np.ndarray, q: float, total) -> float:
+    """(total(v^(1-q)) - 1)/q for values v >= 0 under their sum rule total,
+    -total(v ln v) at q -> 0.  Zero values add zero in place, since a rule's
+    weights depend on position; a sum past the float range raises DomainError."""
+    pos = v > 0.0
+    u, d, ln_u = v[pos], np.zeros_like(v), np.log(v[pos])
+    with np.errstate(over="ignore"):
+        if abs(q) <= COUPLING_EPS:
+            d[pos] = u * ln_u
+            s = -float(total(d))
+        else:
+            # u^(1-q) - u as u expm1(-q ln u) where |q ln u| < 1, which
+            # avoids the cancellation of the direct form at small |q|
+            t = -q * ln_u
+            d[pos] = np.where(np.abs(t) < 1.0, u * np.expm1(t), u ** (1.0 - q) - u)
+            s = (float(total(d)) + (float(total(v)) - 1.0)) / q
+    if not math.isfinite(s):
+        raise DomainError("entropy sum leaves the float range")
+    return s
+
+
 def coupled_discrete(p, q) -> np.ndarray:
     """Escort transform p_i^(1-q) / sum_j p_j^(1-q).
 
     Zero states stay zero for q < 1; for q >= 1 they make the transform
     diverge and raise DomainError.
     """
-    q = coupling_value(q)
-    p = _validated_probs(p)
-    zero = p == 0.0
-    if np.any(zero) and 1.0 - q <= 0.0:
-        raise DomainError("escort with q >= 1 diverges on zero states")
-    w = np.zeros_like(p)
-    w[~zero] = p[~zero] ** (1.0 - q)
-    z = w.sum()
-    if not (math.isfinite(z) and z > 0.0):
-        raise DomainError("escort normalizer is not finite and positive")
-    return w / z
+    return _escort(_validated_probs(p), coupling_value(q), np.sum)
 
 
 def coupled_density(grid: DensityGrid, q) -> DensityGrid:
     """Escort transform of a gridded density, renormalized by trapezoid."""
-    q = coupling_value(q)
-    zero = grid.f == 0.0
-    if np.any(zero) and 1.0 - q <= 0.0:
-        raise DomainError("escort with q >= 1 diverges on zero density values")
-    w = np.zeros_like(grid.f)
-    w[~zero] = grid.f[~zero] ** (1.0 - q)
-    z = float(np.trapezoid(w, dx=grid.dx))
-    if not (math.isfinite(z) and z > 0.0):
-        raise DomainError("escort normalizer is not finite and positive")
-    return DensityGrid(grid.x0, grid.dx, w / z)
+    f = _escort(grid.f, coupling_value(q), lambda w: np.trapezoid(w, dx=grid.dx))
+    return DensityGrid(grid.x0, grid.dx, f)
 
 
 def entropy_discrete(p, q) -> float:
     """Generalized entropy (-1 + sum p^(1-q))/q; Shannon entropy at the
     q -> 0 limit.  Zero states contribute zero."""
-    q = coupling_value(q)
-    p = _validated_probs(p)
-    total = float(p.sum())
-    p = p[p > 0.0]
-    if abs(q) <= COUPLING_EPS:
-        return float(-(p * np.log(p)).sum())
-    # sum p^(1-q) - 1 = sum p*expm1(-q ln p) + (sum p - 1), which avoids
-    # the catastrophic cancellation of the direct form at small |q|
-    return (float((p * np.expm1(-q * np.log(p))).sum()) + (total - 1.0)) / q
+    return _entropy(_validated_probs(p), coupling_value(q), np.sum)
 
 
 def entropy_density(grid: DensityGrid, q) -> float:
     """Generalized differential entropy of a gridded density."""
-    q = coupling_value(q)
-    f = grid.f
-    pos = f > 0.0
-    if abs(q) <= COUPLING_EPS:
-        w = np.zeros_like(f)
-        w[pos] = f[pos] * np.log(f[pos])
-        return float(-np.trapezoid(w, dx=grid.dx))
-    w = np.zeros_like(f)
-    w[pos] = f[pos] ** (1.0 - q)
-    val = float(np.trapezoid(w, dx=grid.dx))
-    if not math.isfinite(val):
-        raise DomainError("entropy integral diverges on this grid")
-    return (-1.0 + val) / q
+    return _entropy(grid.f, coupling_value(q), lambda w: np.trapezoid(w, dx=grid.dx))
 
 
 def q_moments(grid: DensityGrid, q) -> tuple[float, float]:
@@ -279,7 +282,7 @@ def kappa_map(kappa) -> float:
 
 def kappa_shift(kappa, n: int) -> float:
     """Index shift kappa_n = kappa + n/2 (the sequence in reciprocal form)."""
-    return _finite(kappa, "kappa") + int(n) / 2.0
+    return _finite(kappa, "kappa") + _integer(n, "shift n") / 2.0
 
 
 def conjugate_pair(dist: QFamily, mode: str = PRESERVE_VARIANCE) -> QFamily:
@@ -325,16 +328,6 @@ def coupling_phi(q, alpha) -> float:
     return -q / (alpha + q)
 
 
-def check_seed(seed):
-    """Reject a seed that is not None or a non-negative integer."""
-    if seed is None:
-        return
-    if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
-            or seed < 0):
-        raise DomainError(
-            f"seed must be None or a non-negative integer, got {seed!r}")
-
-
 # Draws per independent stream of sample_qgaussian
 _CHUNK = 1 << 16
 # Beyond this k ln V, expm1 overflows and R takes its exponential tail
@@ -361,12 +354,10 @@ def sample_qgaussian(dist: QFamily, n: int, seed=None) -> np.ndarray:
     thread per available core; the values depend on the seed alone,
     not on the core count.
     """
-    if (isinstance(n, bool) or not isinstance(n, (int, np.integer))
-            or n < 1):
-        raise DomainError(f"sample count must be a positive integer, got {n!r}")
-    check_seed(seed)
+    n = _integer(n, "sample count", 1)
+    if seed is not None:
+        _integer(seed, "seed", 0)
     _require_gaussian(dist)
-    n = int(n)
     q = dist.q
     k = 0.0 if abs(q) <= COUPLING_EPS else -conj_hat(q)
     scale, mu = math.sqrt(dist.sigma_sq), dist.mu

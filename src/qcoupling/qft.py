@@ -27,7 +27,8 @@ a * exp_q(-beta |x|^alpha) centred at 0; QGaussianShape(q, a, beta)
 builds the alpha = 2 member.  Closed forms for
 coupled-Gaussian and uniform inputs are implemented separately from the
 numeric route so that each can check the other; a scalar frequency
-gives a float back.
+gives a float back.  Every conjugate transform is the plain one at
+conj_tilde(q), which must stay above -2, so couplings in (-2, -1) fail.
 The uniform closed form holds verbatim for every admissible coupling
 because the integrand has an elementary antiderivative whose branch
 argument never crosses the negative real axis for real x.
@@ -44,7 +45,7 @@ from ._quadrature import _EPS, _X_END, cosine_quad, line_quad
 from .errors import DomainError, NumericsError, PoleError, UnsupportedInputError
 from .qcore import _log_polar, exp_q, exp_q_neg_power, ln_q, sinc_q
 from .qdist import DensityGrid, QFamily
-from .qseq import COUPLING_EPS, c_q, conj_tilde, coupling_value, z_n
+from .qseq import COUPLING_EPS, c_q, conj_hat, conj_tilde, coupling_value, z_n
 
 _MATCH_TOL = 1e-9
 
@@ -272,7 +273,7 @@ def _gaussian_hat_numeric(shape: QFamily, q: float, ws: np.ndarray):
             "the q > 0 route conjugates the family coupling, so the family "
             f"coupling {shape.q} must equal the transform coupling {q}"
         )
-    qh = -2.0 * q / (2.0 + q)
+    qh = conj_hat(q)
     hat_vals, hat_err = _direct_numeric(replace(shape, q=qh), qh, ws)
     # both members' closed-form parameters carry the values across
     form = qft_qgaussian_closed(shape.a, shape.beta, q)
@@ -399,12 +400,6 @@ def cqft_qgaussian_closed(a, beta, q) -> ClosedFormQGaussian:
 
 
 def cqft_uniform_closed(q, w):
-    """Closed-form conjugate transform of the uniform density:
-    sinc at coupling -q with argument (1 - z_2(q)) 2^(-z_2(q)) w."""
-    q = coupling_value(q)
-    if abs(1.0 + q) <= 1e-12:
-        raise PoleError("conjugate uniform closed form has a pole at coupling -1")
-    q2 = z_n(q, 2)
-    with np.errstate(over="ignore"):
-        arg_scale = _in_range((1.0 - q2) * np.float64(2.0) ** (-q2), "argument scale")
-    return sinc_q(-q, arg_scale * np.asarray(w, dtype=float))
+    """Closed-form conjugate transform of the uniform density, the one
+    at conj_tilde(q): sinc at coupling -q, argument (1 - z_2) 2^(-z_2) w."""
+    return qft_uniform_closed(_conjugate_coupling(q), w)

@@ -13,13 +13,15 @@ alpha = 1 analogue, pole at q = -1).  translate moves between this
 parameterization and the one-minus convention.
 
 The module also holds the package's scalar validators (coupling_value,
-the classical band COUPLING_EPS) and the normalization constant c_q, so
+_finite, the integer rule _integer, the pole tolerance _POLE_TOL and the
+classical band COUPLING_EPS) and the normalization constant c_q, so
 that these scalar functions of q run without numpy.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from typing import NamedTuple
 
@@ -28,6 +30,7 @@ from .errors import DomainError, PoleError
 # Couplings below this magnitude are treated as the q -> 0 limit.
 COUPLING_EPS = 1e-10
 
+# A denominator this close to 0 (times the index, where one enters) is a pole
 _POLE_TOL = 1e-14
 
 
@@ -36,6 +39,19 @@ def _finite(value, name: str) -> float:
     if not math.isfinite(value):
         raise DomainError(f"{name} must be finite, got {value!r}")
     return value
+
+
+def _integer(value, name: str, low=None) -> int:
+    """value as an int: an integer, numpy's too, but not a bool, and at
+    least low where low is given; else DomainError naming it."""
+    try:
+        n = operator.index(value)
+        if isinstance(value, bool) or low is not None and n < low:
+            raise TypeError
+    except TypeError:
+        bound = "" if low is None else f" >= {low}"
+        raise DomainError(f"{name} must be an integer{bound}, got {value!r}") from None
+    return n
 
 
 def coupling_value(q) -> float:
@@ -59,7 +75,7 @@ def _ratio(alpha: float, q: float, n, what: str) -> float:
 def z_n(q, n: int) -> float:
     """Sequence member 2q/(2 + n*q); reciprocals step by n/2."""
     q = coupling_value(q)
-    n = int(n)
+    n = _integer(n, "sequence index n")
     return _ratio(2.0, q, n, f"z_{n}")
 
 
@@ -69,7 +85,7 @@ def z_alpha_n(q, alpha, n: int) -> float:
     alpha = _finite(alpha, "alpha")
     if not 0.0 < alpha <= 2.0:
         raise DomainError(f"alpha must be in (0, 2], got {alpha}")
-    n = int(n)
+    n = _integer(n, "sequence index n")
     return _ratio(alpha, q, n, f"z_alpha_{n}")
 
 
@@ -106,7 +122,7 @@ def conj_indexed(q, k: int, sign: int) -> IndexedCoupling:
     Applying conj_indexed to its own output returns the original member.
     """
     q = coupling_value(q)
-    k = int(k)
+    k = _integer(k, "index k")
     if sign not in (1, -1):
         raise DomainError(f"sign must be +1 or -1, got {sign!r}")
     out_value = conj_hat(sign * z_n(q, k))

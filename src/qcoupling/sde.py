@@ -28,6 +28,7 @@ import numpy as np
 from .errors import (DomainError, InstabilityError, InsufficientDataError,
                      NumericsError)
 from . import qdist
+from .qseq import _finite, _integer
 
 _BLOWUP = 1.0e12
 # Noise values held at once, both blocks together, whatever the path count
@@ -55,32 +56,33 @@ def _check_model_params(M, tau, A):
 def predicted_stationary(M, tau, A):
     """Closed-form stationary parameters (q, beta, q_hat) of the model.
 
-    q = -2M/(tau + M) lies in (-2, 0]; beta = (tau + M)/(2A); q_hat =
-    2M/tau is the conjugate coupling of q. M = 0 recovers the
-    Ornstein-Uhlenbeck Gaussian with beta = tau/(2A).
+    q = -2M/(tau + M) = -2/(1 + tau/M) lies in (-2, 0]; beta =
+    (tau + M)/(2A); q_hat = 2 (M/tau) is the conjugate coupling of q.
+    M = 0 recovers the Ornstein-Uhlenbeck Gaussian with beta = tau/(2A).
+    Raises NumericsError where beta or q_hat leaves the float range.
     """
     _check_model_params(M, tau, A)
-    q = -2.0 * M / (tau + M)
-    beta = (tau + M) / (2.0 * A)
-    return StationaryPrediction(q, beta, 2.0 * M / tau)
+    q = -2.0 / (1.0 + tau / M) if M > 0.0 else 0.0
+    beta, q_hat = (0.5 * tau + 0.5 * M) / A, 2.0 * (M / tau)
+    if not (0.0 < beta < math.inf and q_hat < math.inf):
+        raise NumericsError(f"beta {beta!r} or q_hat {q_hat!r} is past the float range")
+    return StationaryPrediction(q, beta, q_hat)
 
 
-def fp_coefficients(M, tau, A, x, g=None, gprime=None):
+def fp_coefficients(M, tau, A, x):
     """Effective drift J and diffusion D of the stationary Fokker-Planck
-    equation at a point x.
+    equation at a point x, for the coupling g(x) = x of simulate.
 
     J(x) = f(x) + M g g' = f(x) (1 - M/tau) with f = -tau g g', and
-    D(x) = A + M g(x)^2. Defaults to g(x) = x.
+    D(x) = A + M g(x)^2.  Raises NumericsError where J or D leaves the
+    float range.
     """
     _check_model_params(M, tau, A)
-    if g is None:
-        gx, gpx = float(x), 1.0
-    elif gprime is None:
-        raise DomainError("gprime is required when g is given")
-    else:
-        gx, gpx = float(g(x)), float(gprime(x))
-    J = -(tau - M) * gx * gpx
-    D = A + M * gx * gx
+    x = _finite(x, "x")
+    J = -(tau - M) * x
+    D = A + M * x * x
+    if not (math.isfinite(J) and D < math.inf):
+        raise NumericsError(f"J {J!r} or D {D!r} is past the float range")
     return J, D
 
 
@@ -112,19 +114,12 @@ class SdeConfig:
         if not 10.0 / np.finfo(float).max < self.dt * self.tau < 0.1:
             raise DomainError(f"dt * tau = {self.dt * self.tau:g} outside "
                               f"({10.0 / np.finfo(float).max:g}, 0.1)")
-        qdist.check_seed(self.seed)
+        if self.seed is not None:
+            _integer(self.seed, "seed", 0)
         if self.burn_in is None:
             self.burn_in = math.ceil(10.0 / (self.tau * self.dt))
-        for name in ("steps", "n_paths", "burn_in"):
-            val = getattr(self, name)
-            if isinstance(val, bool) or not isinstance(val, (int, np.integer)):
-                raise DomainError(f"{name} must be an integer, got {val!r}")
-        if self.steps < 1:
-            raise DomainError(f"steps must be >= 1, got {self.steps}")
-        if self.n_paths < 1:
-            raise DomainError(f"n_paths must be >= 1, got {self.n_paths}")
-        if self.burn_in < 0:
-            raise DomainError(f"burn_in must be >= 0, got {self.burn_in}")
+        for name, low in (("steps", 1), ("n_paths", 1), ("burn_in", 0)):
+            _integer(getattr(self, name), name, low)
         if self.burn_in >= self.steps:
             raise DomainError(
                 f"burn_in {self.burn_in} must be < steps {self.steps}")

@@ -211,7 +211,7 @@ _SUITES = [
 ]
 
 
-def run_selfcheck(write=print) -> bool:
+def run_selfcheck() -> bool:
     """Run every suite, print one PASS/FAIL line each, return overall."""
     all_ok = True
     for name, check in _SUITES:
@@ -220,8 +220,8 @@ def run_selfcheck(write=print) -> bool:
         except Exception as e:
             detail = f"{type(e).__name__}: {e}"
         if detail is None:
-            write(f"PASS {name}")
+            print(f"PASS {name}")
         else:
-            write(f"FAIL {name}: {detail}")
+            print(f"FAIL {name}: {detail}")
             all_ok = False
     return all_ok

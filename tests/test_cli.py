@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import textwrap
@@ -187,6 +188,19 @@ class TestScalarCommands:
         assert float(out) == pytest.approx(dn_exp_q(-0.5, 1.1, 2, 0.3),
                                            rel=1e-12)
 
+    @pytest.mark.parametrize("sigma_sq, why", [
+        ("1e-320", "float range"),
+        ("1e308", "float range"),
+        ("inf", "must be finite"),
+    ])
+    def test_dist_pdf_names_sigma_sq(self, capsys, sigma_sq, why):
+        # beta = 1/((2+q) sigma_sq) leaves the float range; the message
+        # names what was passed
+        code, out, err = run_cli(["dist", "pdf", "--q", "0.5", "--sigma-sq",
+                                  sigma_sq, "--x", "0"], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("DomainError: sigma_sq") and why in err
+
     def test_dist_pdf(self, capsys):
         code, out, _ = run_cli(["dist", "pdf", "--q", "-1", "--x", "0"],
                                capsys)
@@ -353,6 +367,13 @@ class TestTransformCommand:
         assert code == 1
         assert "PoleError" in err
 
+    def test_conjugate_uniform_excluded_band_exit(self, capsys):
+        # conj_tilde(-1.5) = -3 <= -2, as for the Gaussian and numeric routes
+        code, out, err = run_cli(
+            ["transform", "uniform", "--q", "-1.5", "--conjugate"], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("DomainError: ") and "excluded band" in err
+
 
 class TestSimulateCommand:
     def test_fit_row(self, capsys):
@@ -459,6 +480,28 @@ class TestSelfcheck:
         assert code == 1
         assert any(l.startswith("FAIL normalization")
                    for l in out.splitlines())
+
+
+def test_readme_cli_block(capsys, monkeypatch, tmp_path):
+    # each command of README's CLI block exits 0 and prints what its
+    # comment says
+    readme = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                          "README.md")
+    with open(readme) as fh:
+        text = fh.read()
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1]
+    monkeypatch.chdir(tmp_path)
+    said = []
+    for line in block.split("\n```", 1)[0].splitlines():
+        command, _, comment = line.partition("#")
+        prog, *args = shlex.split(command)
+        assert prog == "qcoupling"
+        code, out, err = run_cli(args, capsys)
+        assert code == 0, (line, err)
+        if comment.strip():
+            assert out.strip() == comment.strip(), line
+            said.append(comment.strip())
+    assert said == ["2.56", "-0.666666666667", "3.14159265359"]
 
 
 def _src_env():

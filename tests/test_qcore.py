@@ -407,6 +407,12 @@ class TestDeformedArithmetic:
         with pytest.raises(DomainError):
             power_rescale(0.5, 1.0, 0.0)
 
+    @pytest.mark.parametrize("q, x, p", [(0.5, 1.0, 1e-320), (0.5, 1e300, 1e10)])
+    def test_power_rescale_past_the_float_range(self, q, x, p):
+        # q/p, then p*x, leaves the float range
+        with pytest.raises(NumericsError):
+            power_rescale(q, x, p)
+
 
 def _polar_error(q, y) -> float:
     """|log_mod - Re L| + |angle - Im L| for the pair exp_q_polar(q, y),

@@ -285,6 +285,18 @@ class TestEscort:
         want = qgaussian_pdf(target, xs)
         assert np.max(np.abs(esc.f - want)) <= 1e-6
 
+    @pytest.mark.parametrize("fn, on_grid", [
+        (coupled_discrete, False), (entropy_discrete, False),
+        (coupled_density, True), (entropy_density, True), (q_moments, True),
+    ], ids=["coupled_discrete", "entropy_discrete", "coupled_density",
+            "entropy_density", "q_moments"])
+    def test_sum_past_the_float_range_is_typed(self, fn, on_grid):
+        # (1e-300)^(1-3) = 1e600; the test configuration turns a
+        # RuntimeWarning into a failure
+        p = np.array([1e-300, 1.0 - 1e-300])
+        with pytest.raises(DomainError):
+            fn(DensityGrid(0.0, 1.0, p) if on_grid else p, 3.0)
+
     def test_escort_variance_recovers_sigma_sq(self):
         q = 0.5
         sigma_sq = 1.7
@@ -344,6 +356,28 @@ class TestEntropy:
         grid = DensityGrid(0.0, xs[1] - xs[0], np.full_like(xs, 0.5))
         assert entropy_density(grid, 1.0) == pytest.approx(1.0, rel=1e-12)
         assert entropy_density(grid, 0.5) == pytest.approx((2 ** 0.5 - 1) / 0.5, rel=1e-12)
+
+    def test_tiny_state_past_expm1_range(self):
+        # exp(-q ln p) overflows at p = 1e-300, q = 1.1, but p^(1-q) = 1e30
+        p = np.array([1e-300, 1.0 - 1e-300])
+        assert entropy_discrete(p, 1.1) == pytest.approx(1e30 / 1.1, rel=1e-12)
+
+    @pytest.mark.parametrize("q", [0.0, 0.4, -0.6, 2.0])
+    def test_density_zeros_contribute_in_place(self, q):
+        # guard: trapezoid weights depend on position, so zero values
+        # must stay in place, at both ends and inside
+        f = np.array([0.0, 0.0, 0.3, 0.5, 0.0, 0.7, 0.2, 0.9, 0.0])
+        dx = 0.37
+        pos = f > 0.0
+        w = np.zeros_like(f)
+        if q == 0.0:
+            w[pos] = -f[pos] * np.log(f[pos])
+            want = np.trapezoid(w, dx=dx)
+        else:
+            w[pos] = f[pos] ** (1.0 - q)
+            want = (np.trapezoid(w, dx=dx) - 1.0) / q
+        got = entropy_density(DensityGrid(-1.0, dx, f), q)
+        assert got == pytest.approx(want, rel=1e-14)
 
     def test_density_normal_shannon(self):
         xs = np.linspace(-10, 10, 20001)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcoupling.errors import DomainError, PoleError
+from qcoupling.qdist import kappa_shift
 from qcoupling.qseq import (
     conj_hat,
     conj_indexed,
@@ -46,6 +47,24 @@ class TestSequence:
         assert z_n(1e300, 10**300) == pytest.approx(2e-300, rel=1e-15)
         assert z_alpha_n(1e308, 0.5, 5) == pytest.approx(0.1, rel=1e-15)
         assert conj_hat(1e308) == pytest.approx(-2.0, rel=1e-15)
+
+    @pytest.mark.parametrize("fn, args", [
+        (z_n, (0.5, 1.5)),
+        (z_n, (0.5, True)),
+        (z_n, (0.5, math.nan)),
+        (z_alpha_n, (0.5, 1.0, 1.5)),
+        (conj_indexed, (0.5, 1.5, 1)),
+        (kappa_shift, (1.0, 2.7)),
+    ], ids=["z_n", "z_n_bool", "z_n_nan", "z_alpha_n", "conj_indexed",
+            "kappa_shift"])
+    def test_index_must_be_an_integer(self, fn, args):
+        # an index is an integer, never truncated
+        with pytest.raises(DomainError, match="must be an integer"):
+            fn(*args)
+
+    def test_numpy_integer_index(self):
+        assert z_n(0.5, np.int64(2)) == z_n(0.5, 2)
+        assert conj_indexed(0.5, np.int32(3), -1) == conj_indexed(0.5, 3, -1)
 
     def test_pole(self):
         with pytest.raises(PoleError):

@@ -97,6 +97,14 @@ class TestPrediction:
             assert -2.0 < pred.q <= 0.0
             assert pred.beta > 0.0
 
+    def test_rates_past_the_float_range(self):
+        # tau + M and 2M overflow; q = -1, beta = 1e308 and q_hat = 2 do not
+        assert sde.predicted_stationary(1e308, 1e308, 1.0) == (-1.0, 1e308, 2.0)
+        with pytest.raises(NumericsError):
+            sde.predicted_stationary(1e308, 1e308, 1e-10)   # beta = 1e318
+        with pytest.raises(NumericsError):
+            sde.predicted_stationary(1e308, 1e-10, 1.0)     # q_hat = 2e318
+
     def test_validation(self):
         with pytest.raises(DomainError):
             sde.predicted_stationary(-0.1, 1.0, 1.0)
@@ -111,6 +119,12 @@ class TestFpCoefficients:
         J, D = sde.fp_coefficients(0.5, 1.0, 0.5, 2.0)
         assert J == pytest.approx(-1.0)
         assert D == pytest.approx(0.5 + 0.5 * 4.0)
+
+    @pytest.mark.parametrize("M, x", [(1e308, 1e200), (1.0, 1e200)])
+    def test_coefficients_past_the_float_range(self, M, x):
+        # J = (M - tau) x = 1e508 or D = A + M x^2 = 1e400
+        with pytest.raises(NumericsError):
+            sde.fp_coefficients(M, 1.0, 1.0, x)
 
     def test_equal_rates_kill_drift(self):
         J, D = sde.fp_coefficients(0.7, 0.7, 0.3, 1.7)
@@ -129,16 +143,6 @@ class TestFpCoefficients:
         f = -tau * x
         assert J == pytest.approx(f + m * x, abs=1e-12 * (1.0 + abs(f)))
         assert J == pytest.approx(f * (1.0 - m / tau), abs=1e-12 * (1.0 + abs(f)))
-
-    def test_custom_g(self):
-        J, D = sde.fp_coefficients(
-            0.5, 2.0, 1.0, 0.3, g=math.sin, gprime=math.cos)
-        assert J == pytest.approx(-1.5 * math.sin(0.3) * math.cos(0.3))
-        assert D == pytest.approx(1.0 + 0.5 * math.sin(0.3) ** 2)
-
-    def test_gprime_required_with_custom_g(self):
-        with pytest.raises(DomainError):
-            sde.fp_coefficients(0.5, 1.0, 1.0, 0.3, g=math.sin)
 
 
 class TestConfig:
