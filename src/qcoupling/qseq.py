@@ -123,6 +123,7 @@ def conj_indexed(q, k: int, sign: int) -> IndexedCoupling:
     """
     q = coupling_value(q)
     k = _integer(k, "index k")
+    sign = _integer(sign, "sign")
     if sign not in (1, -1):
         raise DomainError(f"sign must be +1 or -1, got {sign!r}")
     out_value = conj_hat(sign * z_n(q, k))

@@ -12,7 +12,7 @@ density is the compact prediction
     q = -2 M / (tau + M),   beta = (tau + M) / (2 A).
 
 `simulate` integrates an ensemble of paths with Euler-Maruyama, one
-normal per path and step from one seeded SFC64 stream, and returns
+normal per path and step from seeded per-chunk SFC64 streams, and returns
 stationary samples; `fit_qgaussian` recovers (q, mu, beta) from samples
 by maximum likelihood, which stays well behaved in the heavy tail
 regime where sample moments diverge, with damped Newton steps on the
@@ -31,7 +31,9 @@ from . import qdist
 from .qseq import _finite, _integer
 
 _BLOWUP = 1.0e12
-# Noise values held at once, both blocks together, whatever the path count
+# Noise values per chunk, each chunk from its own stream
+_CHUNK = 1 << 16
+# Noise values held at once, all chunk slots together, whatever the path count
 _NOISE_VALUES = 1 << 21
 
 
@@ -138,30 +140,37 @@ def simulate(cfg):
 
     Output is a flat float array ordered by path index, then by step, of
     length cfg.n_paths * cfg.samples_per_path. Deterministic for a given
-    config: the ensemble reads one Generator(SFC64(seed)) stream in
-    step-major order, one normal per path and step. The Euler-Maruyama step
-    x (1 + d) + m x N0 + a N1, with d = -(tau - M) dt, m = sqrt(2 M dt)
-    and a = sqrt(2 A dt), is taken as x (1 + d) + sqrt(m^2 x^2 + a^2) N:
-    given x both are Normal(x (1 + d), m^2 x^2 + a^2), so the chain is
-    the same in law (Kloeden & Platen 1992, section 10.2).
-    One helper thread draws the next noise block while this thread steps
-    the current one; the samples depend neither on the core count nor on
-    the block size.
+    config. The Euler-Maruyama step x (1 + d) + m x N0 + a N1, with
+    d = -(tau - M) dt, m = sqrt(2 M dt) and a = sqrt(2 A dt), is taken as
+    x (1 + d) + sqrt(m^2 x^2 + a^2) N: given x both are
+    Normal(x (1 + d), m^2 x^2 + a^2), so the chain is the same in law
+    (Kloeden & Platen 1992, section 10.2). It is computed as
+    x (1 + d) + sqrt(x^2 + A/M) (m N), or, where M = 0 or A/M is past the
+    float range, as x (1 + d) + sqrt((M/A) x^2 + 1) (a N).
+    The noise comes in chunks of max(1, min(steps, _CHUNK // n_paths))
+    steps, one normal per path and step. Chunk j is drawn from its own
+    stream, Generator(SFC64(child)) with child the j-th child of
+    SeedSequence(seed), so the samples depend on the seed and the config
+    alone, not on the core count or on _NOISE_VALUES. Worker threads, one
+    per available core beyond the first, fill chunks ahead of the stepping
+    thread into a ring of _NOISE_VALUES values; while its next chunk is
+    not ready, the stepping thread draws the chunks no thread has started.
     Raises InstabilityError if any path exceeds |X| = 1e12, naming the
-    first step where one does; |X| is tested at the end of each noise
-    block, so a path that passes 1e12 and returns within a block is not
-    seen.
+    first step where one does; |X| is tested at the end of each chunk,
+    so a path that passes 1e12 and returns within a chunk is not seen.
     """
-    from concurrent.futures import ThreadPoolExecutor
+    from collections import deque
+    from concurrent.futures import Future, ThreadPoolExecutor
 
-    n = cfg.n_paths
+    n, steps = cfg.n_paths, cfg.steps
     growth = 1.0 - (cfg.tau - cfg.M) * cfg.dt
-    mul2 = 2.0 * cfg.M * cfg.dt
-    add2 = 2.0 * cfg.A * cfg.dt
+    if cfg.M > 0.0 and cfg.A / cfg.M < math.inf:
+        scale, mul, add = math.sqrt(2.0 * cfg.M * cfg.dt), 1.0, cfg.A / cfg.M
+    else:
+        scale, mul, add = math.sqrt(2.0 * cfg.A * cfg.dt), cfg.M / cfg.A, 1.0
     stride = cfg.stride
     n_keep = cfg.samples_per_path
 
-    rng = np.random.Generator(np.random.SFC64(cfg.seed))
     x, t, s, x0 = np.zeros(n), np.empty(n), np.empty(n), np.empty(n)
     out = np.empty((n, n_keep))
     k = 0
@@ -170,46 +179,77 @@ def simulate(cfg):
         out[:, 0] = x
         k, next_keep = 1, stride
 
+    rows = max(1, min(steps, _CHUNK // n))
+    chunks = -(-steps // rows)
+    slots = min(chunks, max(2, _NOISE_VALUES // (rows * n)))
+    # allocated after the outputs: before them it left 0.6 MB more
+    # resident over repeated runs
+    ring = np.empty((slots, rows, n))
+    children = np.random.SeedSequence(cfg.seed).spawn(chunks)
+
+    def draw(j):
+        """Chunk j of the noise, unscaled, in its slot of the ring."""
+        z = ring[j % slots, :min(rows, steps - j * rows)]
+        np.random.Generator(np.random.SFC64(children[j])).standard_normal(out=z)
+        return z
+
     step = 0
-    block = min(max(1, _NOISE_VALUES // (2 * n)), cfg.steps)
-    noise = np.empty((2, block, n))
-    with ThreadPoolExecutor(1) as pool, \
-            np.errstate(over="ignore", invalid="ignore"):
-        pending = pool.submit(rng.standard_normal, out=noise[0])
-        for b, start in enumerate(range(0, cfg.steps, block)):
-            pending.result()
-            rows = noise[b % 2, :cfg.steps - start]
-            left = cfg.steps - start - block
-            if left > 0:
-                pending = pool.submit(rng.standard_normal,
-                                      out=noise[1 - b % 2, :left])
-            np.copyto(x0, x)
-            for row in rows:
-                x, t = _step(x, t, s, row, growth, mul2, add2)
-                step += 1
-                if step == next_keep and k < n_keep:
-                    out[:, k] = x
-                    k += 1
-                    next_keep += stride
-            if _blown(x):
-                # |X| is tested once per block; the block's rows, replayed
-                # from its start, name the step that blew up
-                for step, row in enumerate(rows, start + 1):
-                    x0, t = _step(x0, t, s, row, growth, mul2, add2)
-                    if _blown(x0):
-                        break
-                raise InstabilityError(
-                    f"|X| exceeded {_BLOWUP:g} at step {step}; reduce dt")
+    workers = min(qdist._cores(), chunks) - 1
+    pool = ThreadPoolExecutor(workers) if workers else None
+    try:
+        if pool:
+            ahead = deque(pool.submit(draw, j) for j in range(slots))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(chunks):
+                if pool:
+                    # while chunk j is not ready, the draws that no worker
+                    # has started are taken here, in order
+                    for i in range(len(ahead)):
+                        if ahead[0].done():
+                            break
+                        if ahead[i].cancel():
+                            ahead[i] = Future()
+                            ahead[i].set_result(draw(j + i))
+                    z = ahead.popleft().result()
+                else:
+                    z = draw(j)
+                # scaled here: on a worker the product would take the GIL
+                # once more per chunk, and this loop holds it
+                z *= scale
+                np.copyto(x0, x)
+                for row in z:
+                    x, t = _step(x, t, s, row, growth, mul, add)
+                    step += 1
+                    if step == next_keep and k < n_keep:
+                        out[:, k] = x
+                        k += 1
+                        next_keep += stride
+                if _blown(x):
+                    # |X| is tested once per chunk; the chunk's rows,
+                    # replayed from its start, name the step that blew up
+                    for step, row in enumerate(z, j * rows + 1):
+                        x0, t = _step(x0, t, s, row, growth, mul, add)
+                        if _blown(x0):
+                            break
+                    raise InstabilityError(
+                        f"|X| exceeded {_BLOWUP:g} at step {step}; reduce dt")
+                if pool and j + slots < chunks:
+                    ahead.append(pool.submit(draw, j + slots))
+    finally:
+        if pool:
+            pool.shutdown(cancel_futures=True)
     return out.ravel()
 
 
-def _step(x, t, s, row, growth, mul2, add2):
-    """One step of the ensemble x into t, with s as scratch:
-    x*(1 + d) + sqrt((x*x)*m^2 + a^2)*N, in place and in that grouping,
-    since another would round differently.  Returns (t, x)."""
+def _step(x, t, s, row, growth, mul, add):
+    """One step of the ensemble x into t, with s as scratch and row the
+    scaled noise: x*(1 + d) + sqrt((x*x)*mul + add)*row, in place and in
+    that grouping, since another would round differently; a product by
+    mul = 1 is left out.  Returns (t, x)."""
     np.multiply(x, x, out=s)
-    s *= mul2
-    s += add2
+    if mul != 1.0:
+        s *= mul
+    s += add
     np.sqrt(s, out=s)
     s *= row
     np.multiply(x, growth, out=t)

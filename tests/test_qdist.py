@@ -564,10 +564,20 @@ class TestSampler:
 
     @pytest.mark.filterwarnings("error")
     def test_draws_beyond_float_range_raise(self):
-        # near q = -2 the radius law has k = 2q/(2 + q) = -3998, so R
-        # passes the float range wherever V < 0.7
-        with pytest.raises(NumericsError, match=r"3 of 5 draws at coupling -1\.999"):
-            sample_qgaussian(QGaussian(-1.999), 5, seed=1)
+        # near q = -2 the radius law has k = 2q/(2 + q) = -3998, so R =
+        # sqrt(-2/k) V^(k/2) passes the float range wherever V < 0.7; the
+        # error counts those V = 1 - U1, with U1 the chunk's uniforms that
+        # follow its n values of U2
+        k = -conj_hat(-1.999)
+        edge = 2.0 / k * (math.log(sys.float_info.max) - 0.5 * math.log(-2.0 / k))
+        child = np.random.SeedSequence(1).spawn(1)[0]
+        for n in (4, 5):
+            u1 = np.random.Generator(np.random.SFC64(child)).random(2 * n)[n:]
+            bad = int(np.count_nonzero(np.log1p(-u1) < edge))
+            assert 0 < bad <= n
+            with pytest.raises(NumericsError,
+                               match=fr"^{bad} of {n} draws at coupling -1\.999"):
+                sample_qgaussian(QGaussian(-1.999), n, seed=1)
 
     @pytest.mark.parametrize("q", [1e-5, 1e-3])
     def test_small_compact_coupling(self, q):
@@ -661,6 +671,16 @@ class TestBoxMullerSampler:
             assert np.isfinite(xs).all()
         with pytest.raises(NumericsError, match="exceed the float range"):
             sample_qgaussian(QGaussian(-1.999), 10**4, seed=0)
+
+    def test_cosine_from_the_tangent(self):
+        # U on the sampler's grid of 2^-53, against 40-digit mpmath
+        u = np.concatenate([[0.0, 2.0**-53, 0.25, 0.5, 0.75, 1.0 - 2.0**-53],
+                            np.random.default_rng(6).random(2000)])
+        c = u.copy()
+        qdist._cos_two_pi(c, np.empty_like(u))
+        with mp.workdps(40):
+            want = np.array([float(mp.cos(2 * mp.pi * mp.mpf(v))) for v in u])
+        assert np.max(np.abs(c - want)) <= 2 * 2.0**-52
 
     @pytest.mark.parametrize("q", [0.5, 2.0, 30.0, 1e6])
     def test_compact_radius_stays_below_the_edge(self, q):

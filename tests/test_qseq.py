@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcoupling.errors import DomainError, PoleError
+from qcoupling.errors import DomainError, NumericsError, PoleError
 from qcoupling.qdist import kappa_shift
 from qcoupling.qseq import (
     conj_hat,
@@ -65,6 +65,26 @@ class TestSequence:
     def test_numpy_integer_index(self):
         assert z_n(0.5, np.int64(2)) == z_n(0.5, 2)
         assert conj_indexed(0.5, np.int32(3), -1) == conj_indexed(0.5, 3, -1)
+
+    @pytest.mark.parametrize("sign", [True, 1.0, -1.0, 2, 0])
+    def test_conj_indexed_sign_is_plus_or_minus_one(self, sign):
+        # the sign is checked as an integer first, so True and 1.0 do not
+        # pass as 1
+        with pytest.raises(DomainError, match="sign must be"):
+            conj_indexed(0.5, 1, sign)
+
+    def test_conj_indexed_numpy_sign(self):
+        out = conj_indexed(0.5, 1, np.int64(-1))
+        assert out == conj_indexed(0.5, 1, -1)
+        assert type(out.sign) is int and type(out.index) is int
+
+    def test_kappa_shift_past_the_float_range(self):
+        # n/2 past the float range names n; a sum past it is NumericsError
+        with pytest.raises(DomainError, match="shift n"):
+            kappa_shift(1.0, 10**400)
+        with pytest.raises(NumericsError, match="float range"):
+            kappa_shift(1e308, 3 * 10**308)
+        assert kappa_shift(1.0, 3 * 10**308) == 1.5e308
 
     def test_pole(self):
         with pytest.raises(PoleError):

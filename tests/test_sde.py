@@ -19,19 +19,38 @@ from qcoupling.errors import (
 )
 
 
+def _reference_noise(cfg):
+    # chunk j holds the noise of rows steps of every path and is drawn
+    # whole from the j-th child of SeedSequence(seed); the last chunk
+    # draws the steps that are left
+    rows = max(1, min(cfg.steps, sde._CHUNK // cfg.n_paths))
+    starts = range(0, cfg.steps, rows)
+    children = np.random.SeedSequence(cfg.seed).spawn(len(starts))
+    return np.concatenate([
+        np.random.Generator(np.random.SFC64(child)).standard_normal(
+            (min(rows, cfg.steps - start), cfg.n_paths))
+        for child, start in zip(children, starts)])
+
+
 def _reference_states(cfg):
-    # reference: the ensemble draws all of its noise at once, step-major,
-    # and the step arithmetic is the same, so the states after each step
-    # are bitwise equal
+    # reference: the ensemble draws all of its chunks at once, and the
+    # step arithmetic is the same, x (1 + d) + sqrt(x^2 + A/M) (m N) or,
+    # where A/M is past the float range, x (1 + d) + sqrt((M/A) x^2 + 1)
+    # (a N), so the states after each step are bitwise equal
     growth = 1.0 - (cfg.tau - cfg.M) * cfg.dt
-    mul2 = 2.0 * cfg.M * cfg.dt
-    add2 = 2.0 * cfg.A * cfg.dt
-    noise = np.random.Generator(np.random.SFC64(cfg.seed)).standard_normal(
-        (cfg.steps, cfg.n_paths))
+    multiplicative = cfg.M > 0.0 and cfg.A / cfg.M < math.inf
+    noise = _reference_noise(cfg)
     x = np.zeros(cfg.n_paths)
-    for row in noise:
-        x = x * growth + np.sqrt((x * x) * mul2 + add2) * row
-        yield x
+    if multiplicative:
+        noise *= math.sqrt(2.0 * cfg.M * cfg.dt)
+        for row in noise:
+            x = x * growth + np.sqrt(x * x + cfg.A / cfg.M) * row
+            yield x
+    else:
+        noise *= math.sqrt(2.0 * cfg.A * cfg.dt)
+        for row in noise:
+            x = x * growth + np.sqrt((x * x) * (cfg.M / cfg.A) + 1.0) * row
+            yield x
 
 
 def _reference_samples(cfg):
@@ -193,17 +212,47 @@ class TestSimulate:
 
     @pytest.mark.parametrize("block", [4096, 64])
     def test_blocked_noise_matches_whole_run_draws(self, monkeypatch, block):
-        # a whole-run block and a 64-step block
+        # a whole-run chunk and 64-step chunks
         cfg = sde.SdeConfig(steps=300, n_paths=5, burn_in=37, seed=11)
-        monkeypatch.setattr(sde, "_NOISE_VALUES", 2 * block * cfg.n_paths)
+        monkeypatch.setattr(sde, "_CHUNK", block * cfg.n_paths)
         assert np.array_equal(sde.simulate(cfg), _reference_samples(cfg))
 
     @pytest.mark.parametrize("n_paths", [37, 389])
     def test_partial_blocks_match_whole_run_draws(self, monkeypatch, n_paths):
-        # 40-step blocks leave a 20-step last block
+        # 40-step chunks leave a 20-step last chunk
         cfg = sde.SdeConfig(steps=300, n_paths=n_paths, burn_in=37, seed=5)
-        monkeypatch.setattr(sde, "_NOISE_VALUES", 2 * 40 * cfg.n_paths)
+        monkeypatch.setattr(sde, "_CHUNK", 40 * cfg.n_paths)
         assert np.array_equal(sde.simulate(cfg), _reference_samples(cfg))
+
+    def test_independent_of_cores_and_ring_size(self, monkeypatch):
+        # 16-step chunks, the last of 12 steps, on 1 to 8 threads and in a
+        # ring of 2 slots or of the whole run; with a short switch
+        # interval a chunk read before its draw ends, or a slot drawn over
+        # before it is stepped, shows as a difference
+        cfg = sde.SdeConfig(steps=300, n_paths=7, burn_in=20, seed=13)
+        monkeypatch.setattr(sde, "_CHUNK", 16 * cfg.n_paths)
+        want = _reference_samples(cfg)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for cores in (1, 2, 8):
+                monkeypatch.setattr(qdist, "_cores", lambda cores=cores: cores)
+                for ring in (2 * 16, cfg.steps):
+                    monkeypatch.setattr(sde, "_NOISE_VALUES", ring * cfg.n_paths)
+                    assert np.array_equal(sde.simulate(cfg), want)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("M", [0.0, 1e-310])
+    def test_additive_law_where_A_over_M_overflows(self, M):
+        # A/M is 0.5/0 or 5e309: the step keeps the additive law, with no
+        # nan, and the stationary variance is the Ornstein-Uhlenbeck A/tau
+        cfg = sde.SdeConfig(M=M, tau=1.0, A=0.5, n_paths=200, steps=20_000,
+                            seed=4)
+        xs = sde.simulate(cfg)
+        assert np.isfinite(xs).all()
+        assert xs.var() == pytest.approx(0.5, rel=0.05)
+        assert np.array_equal(xs, _reference_samples(cfg))
 
     @pytest.mark.parametrize("M", [0.6, 0.0])
     def test_one_normal_step_has_the_two_normal_law(self, M):
@@ -258,20 +307,20 @@ class TestSimulate:
 
     def test_instability_raised(self, monkeypatch):
         # the error names the first step where some |X| passes 1e12,
-        # whether the noise comes in one whole-run block, 64-step blocks
-        # or 16-step blocks
+        # whether the noise comes in one whole-run chunk, 64-step chunks
+        # or 16-step chunks, in the middle of a chunk
         cfg = sde.SdeConfig(M=20.0, tau=1.0, A=0.5, dt=0.05, steps=5000,
                             n_paths=8, burn_in=10, seed=1)
-        want = _reference_blowup_step(cfg)
-        assert want < 64
         for block in (cfg.steps, 64, 16):
-            monkeypatch.setattr(sde, "_NOISE_VALUES", 2 * block * cfg.n_paths)
+            monkeypatch.setattr(sde, "_CHUNK", block * cfg.n_paths)
+            want = _reference_blowup_step(cfg)
+            assert want < cfg.steps and want % block
             with pytest.raises(InstabilityError, match=f" at step {want};"):
                 sde.simulate(cfg)
 
     @pytest.mark.parametrize("n_paths", [5, 1])
     def test_repeated_runs_are_bitwise_equal(self, monkeypatch, n_paths):
-        monkeypatch.setattr(sde, "_NOISE_VALUES", 2 * 64 * n_paths)
+        monkeypatch.setattr(sde, "_CHUNK", 64 * n_paths)
         cfg = sde.SdeConfig(steps=300, n_paths=n_paths, burn_in=37, seed=11)
         runs = [sde.simulate(cfg) for _ in range(3)]
         for run in runs[1:]:
@@ -279,9 +328,10 @@ class TestSimulate:
         assert np.array_equal(runs[0], _reference_samples(cfg))
 
     def test_instability_leaves_no_worker_thread(self, monkeypatch):
-        # 64-step blocks: the blow-up is found at the end of the first
-        # block, while the draw of the second is pending
-        monkeypatch.setattr(sde, "_NOISE_VALUES", 2 * 64 * 8)
+        # 64-step chunks: the blow-up is found at the end of an early
+        # chunk, while the draws of later ones are pending
+        monkeypatch.setattr(sde, "_CHUNK", 64 * 8)
+        monkeypatch.setattr(qdist, "_cores", lambda: 4)
         cfg = sde.SdeConfig(M=20.0, tau=1.0, A=0.5, dt=0.05, steps=5000,
                             n_paths=8, burn_in=10, seed=1)
         before = threading.active_count()
@@ -290,23 +340,27 @@ class TestSimulate:
         assert threading.active_count() == before
 
     def test_noise_failure_reaches_caller(self, monkeypatch):
-        # 64-step blocks: the run makes five draws on the helper thread;
-        # the first fails, then in a second run the third
+        # 64-step chunks: the run makes five draws, each from a Generator
+        # of its own, counted together; the first fails, then in a second
+        # run the third, on whichever thread draws it
         real_generator = np.random.Generator
 
         class Failing:
+            draws = 0
+
             def __init__(self, bit_generator):
-                self.rng, self.draws = real_generator(bit_generator), 0
+                self.rng = real_generator(bit_generator)
 
             def standard_normal(self, out):
-                self.draws += 1
-                if self.draws == failing_draw:
+                Failing.draws += 1
+                if Failing.draws == failing_draw:
                     raise RuntimeError("draw failed")
                 return self.rng.standard_normal(out=out)
 
+        monkeypatch.setattr(sde, "_CHUNK", 64 * 5)
+        monkeypatch.setattr(np.random, "Generator", Failing)
         for failing_draw in (1, 3):
-            monkeypatch.setattr(sde, "_NOISE_VALUES", 2 * 64 * 5)
-            monkeypatch.setattr(np.random, "Generator", Failing)
+            Failing.draws = 0
             before = threading.active_count()
             with pytest.raises(RuntimeError, match="draw failed"):
                 sde.simulate(sde.SdeConfig(steps=300, n_paths=5, burn_in=37))
