@@ -11,6 +11,7 @@ significant digits and is deterministic given arguments and seed.
 """
 
 import argparse
+import os
 import sys
 
 from .errors import CouplingError
@@ -112,13 +113,19 @@ def build_parser() -> argparse.ArgumentParser:
 def _emit(dataset, fmt: str, out):
     from . import datasets
 
-    text = datasets.to_csv(dataset) if fmt == "csv" else datasets.to_json(
-        dataset)
-    if out is None:
-        sys.stdout.write(text)
-    else:
+    write = datasets.to_csv if fmt == "csv" else datasets.to_json
+    if out is not None:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            write(dataset, fh)
+        return
+    try:
+        write(dataset, sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left (`| head`): flush the rest into the null device
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _cmd_eval(args, parser):

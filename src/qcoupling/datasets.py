@@ -1,10 +1,10 @@
 """Tabular datasets for the standard figures, and CSV/JSON emission.
 
 Datasets are plain rectangular tables: column names plus numeric rows.
-Both formats come from one pass that writes every value with 12
-significant digits, so a parsed emission reproduces the dataset at that
-precision; JSON writes each number as the shortest round-trip form of
-that 12-digit value.
+Both formats go to a text stream 2**14 rows at a time, so memory does
+not grow with the table.  Each value is written with 12 significant
+digits, so a parsed emission reproduces the dataset at that precision;
+JSON writes the shortest round-trip form of that 12-digit value.
 """
 
 import json
@@ -16,6 +16,7 @@ from .errors import DomainError
 from .qseq import conj_hat
 
 _TINY = np.finfo(float).smallest_normal
+_BLOCK = 2**14  # rows formatted per write
 
 
 @dataclass
@@ -47,37 +48,44 @@ class Dataset:
             raise DomainError("NaN entries are not allowed")
 
 
-def _cells(dataset: Dataset) -> tuple:
-    """The table's cells in row-major order; adding 0.0 turns -0 into 0."""
-    return tuple((dataset.rows + 0.0).ravel().tolist())
+def _blocks(dataset: Dataset):
+    """Row count and row-major cells per _BLOCK rows; + 0.0 maps -0 to 0."""
+    for i in range(0, len(dataset.rows), _BLOCK):
+        block = dataset.rows[i:i + _BLOCK] + 0.0
+        yield len(block), block.ravel().tolist()
 
 
-def to_csv(dataset: Dataset) -> str:
-    n, k = dataset.rows.shape
-    row = ",".join(["%.12g"] * k) + "\n"
-    return ",".join(dataset.columns) + "\n" + (row * n) % _cells(dataset)
+def to_csv(dataset: Dataset, fh) -> None:
+    """Write the table as CSV to the text stream fh."""
+    row = ",".join(["%.12g"] * len(dataset.columns)) + "\n"
+    fh.write(",".join(dataset.columns) + "\n")
+    for n, cells in _blocks(dataset):
+        fh.write(row * n % tuple(cells))
 
 
-def to_json(dataset: Dataset) -> str:
-    n, k = dataset.rows.shape
-    cells = ("%.12g " * (n * k) % _cells(dataset)).split()
-    # A string of at most 12 significant digits already has the digits of
-    # the shortest round-trip form of its value; only the style differs.
-    v = np.array(cells, dtype=float)
-    a = np.abs(v)
-    for i in np.flatnonzero((a < 1e12) & (v == np.trunc(v))).tolist():
-        cells[i] += ".0"
-    # %g goes scientific from 1e12, repr from 1e16; inf is Infinity; a
-    # subnormal holds fewer than 12 digits
-    restyle = (a >= 1e12) & (a < 1e16) | np.isinf(a) | (a > 0) & (a < _TINY)
-    for i in np.flatnonzero(restyle).tolist():
-        cells[i] = json.dumps(v[i].item())
-    row = "[" + ", ".join(["%s"] * k) + "]"
-    text = ('{"columns": ' + json.dumps(list(dataset.columns))
-            + ', "rows": [' + ", ".join([row] * n) % tuple(cells) + "]")
-    if dataset.meta:
-        text += ', "meta": ' + json.dumps(dataset.meta)
-    return text + "}\n"
+def to_json(dataset: Dataset, fh) -> None:
+    """Write the table as one line of JSON to the text stream fh."""
+    row = "[" + ", ".join(["%s"] * len(dataset.columns)) + "]"
+    fh.write('{"columns": %s, "rows": [' % json.dumps(list(dataset.columns)))
+    sep = ""
+    for n, values in _blocks(dataset):
+        cells = ("%.12g " * len(values) % tuple(values)).split()
+        # At most 12 significant digits already are the digits of the
+        # shortest round-trip form of the value; only the style differs.
+        v = np.array(cells, dtype=float)
+        a = np.abs(v)
+        for i in np.flatnonzero((a < 1e12) & (v == np.trunc(v))).tolist():
+            cells[i] += ".0"
+        # %g goes scientific from 1e12, repr from 1e16; inf is Infinity; a
+        # subnormal holds fewer than 12 digits
+        restyle = ((a >= 1e12) & (a < 1e16) | np.isinf(a)
+                   | (a > 0) & (a < _TINY))
+        for i in np.flatnonzero(restyle).tolist():
+            cells[i] = json.dumps(v[i].item())
+        fh.write(sep + ", ".join([row] * n) % tuple(cells))
+        sep = ", "
+    meta = ', "meta": ' + json.dumps(dataset.meta) if dataset.meta else ""
+    fh.write("]" + meta + "}\n")
 
 
 def _figure_couplings(fid):

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -13,6 +14,21 @@ import qcoupling
 from qcoupling import cli, datasets, qdist, qseq, sde
 from qcoupling.datasets import Dataset
 from qcoupling.errors import DomainError
+
+
+def emitted(emit, dataset):
+    """What datasets.to_csv or to_json writes for dataset, as a string."""
+    fh = io.StringIO()
+    emit(dataset, fh)
+    return fh.getvalue()
+
+
+def _has_vmhwm():
+    try:
+        with open("/proc/self/status") as fh:
+            return any(line.startswith("VmHWM:") for line in fh)
+    except OSError:
+        return False
 
 
 def run_cli(args, capsys):
@@ -211,23 +227,24 @@ class TestScalarCommands:
 class TestEmission:
     def test_csv_shape(self):
         ds = Dataset(["a", "b"], [(1.0, 2.0), (3.0, 4.0), (5.0, 6.0)])
-        text = datasets.to_csv(ds)
+        text = emitted(datasets.to_csv, ds)
         lines = text.splitlines()
         assert len(lines) == 4
         assert lines[0] == "a,b"
         assert text.endswith("\n")
 
     def test_empty_dataset_header_only(self):
-        assert datasets.to_csv(Dataset(["a", "b"], [])) == "a,b\n"
+        assert emitted(datasets.to_csv, Dataset(["a", "b"], [])) == "a,b\n"
 
     def test_twelve_significant_digits(self):
         ds = Dataset(["v"], [(math.pi,)])
-        assert datasets.to_csv(ds).splitlines()[1] == "3.14159265359"
+        assert (emitted(datasets.to_csv, ds).splitlines()[1]
+                == "3.14159265359")
 
     def test_json_round_trip(self):
         rows = [(1.0 / 3.0, 2e-15), (123456.789012345, -7.5)]
         ds = Dataset(["a", "b"], rows)
-        parsed = json.loads(datasets.to_json(ds))
+        parsed = json.loads(emitted(datasets.to_json, ds))
         assert parsed["columns"] == ["a", "b"]
         for got, want in zip(parsed["rows"], rows):
             for g, w in zip(got, want):
@@ -235,7 +252,8 @@ class TestEmission:
 
     def test_json_meta_included(self):
         ds = Dataset(["a"], [(1.0,)], {"note": "hi"})
-        assert json.loads(datasets.to_json(ds))["meta"] == {"note": "hi"}
+        assert json.loads(emitted(datasets.to_json, ds))["meta"] == {
+            "note": "hi"}
 
     def test_rejects_nan(self):
         with pytest.raises(DomainError):
@@ -259,11 +277,11 @@ class TestEmission:
         rows = [(-0.0, 0.0), (1e-300, 1e300), (1.0 / 3.0, 123456789012.5),
                 (1e11, -7.5), (1e12, 1.23456789012e13), (5e-324, math.inf)]
         ds = Dataset(["a", "b"], rows)
-        assert datasets.to_csv(ds) == (
+        assert emitted(datasets.to_csv, ds) == (
             "a,b\n0,0\n1e-300,1e+300\n0.333333333333,123456789012\n"
             "100000000000,-7.5\n1e+12,1.23456789012e+13\n"
             "4.94065645841e-324,inf\n")
-        assert datasets.to_json(ds) == (
+        assert emitted(datasets.to_json, ds) == (
             '{"columns": ["a", "b"], "rows": [[0.0, 0.0], [1e-300, 1e+300], '
             '[0.333333333333, 123456789012.0], [100000000000.0, -7.5], '
             '[1000000000000.0, 12345678901200.0], [5e-324, Infinity]]}\n')
@@ -276,8 +294,8 @@ class TestEmission:
         tuples = [tuple(row) for row in table.tolist()]
         meta = {"note": "same"}
         for emit in (datasets.to_csv, datasets.to_json):
-            assert emit(Dataset(["a", "b", "c"], table, meta)) == emit(
-                Dataset(["a", "b", "c"], tuples, meta))
+            assert emitted(emit, Dataset(["a", "b", "c"], table, meta)) == (
+                emitted(emit, Dataset(["a", "b", "c"], tuples, meta)))
 
     def test_out_writes_file(self, capsys, tmp_path):
         target = tmp_path / "fig1.csv"
@@ -292,6 +310,61 @@ class TestEmission:
             capsys)
         assert code == 1
         assert err != ""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs /dev/full")
+    def test_full_device_is_io_error(self, capsys):
+        # several blocks: the error surfaces from a write, not the close
+        code, out, err = run_cli(
+            ["dist", "sample", "--q", "-0.5", "--n", "100000", "--seed", "1",
+             "--out", "/dev/full"], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("OSError: [Errno 28]")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_closed_stdout_exits_quietly(self, fmt):
+        # the reader takes a few bytes and closes, as `| head -1` does; the
+        # table is larger than a pipe holds, so the writer meets the close.
+        # stdout is block-buffered, as by default.
+        env = _src_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        with subprocess.Popen(
+                [sys.executable, "-m", "qcoupling.cli", "dist", "sample",
+                 "--q", "-0.5", "--n", "100000", "--seed", "1",
+                 "--format", fmt],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                env=env) as proc:
+            first = proc.stdout.read(100)
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+        assert first.startswith(b"x\n" if fmt == "csv" else b'{"columns"')
+        assert (proc.returncode, err) == (0, b"")
+
+    @pytest.mark.skipif(not _has_vmhwm(), reason="needs VmHWM in "
+                        "/proc/self/status")
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_memory_does_not_grow_with_the_table(self, tmp_path, fmt):
+        # a whole-table format pass grew the peak by 78 MB (CSV) and
+        # 150 MB (JSON) over a one-draw run; the 10**6 draws are 8 MB
+        script = textwrap.dedent("""
+            import json, sys
+            from qcoupling import cli
+
+            code = cli.run(sys.argv[1:])
+            with open("/proc/self/status") as fh:
+                kb = [int(line.split()[1]) for line in fh
+                      if line.startswith("VmHWM:")]
+            print(json.dumps([code, kb[0]]))
+        """)
+        peaks = []
+        for n in (1, 10**6):
+            code, kb = _fresh_report(
+                script, "dist", "sample", "--q", "-0.5", "--n", str(n),
+                "--seed", "1", "--format", fmt, "--out",
+                str(tmp_path / f"draws.{fmt}"))
+            assert code == 0
+            peaks.append(kb / 1024)
+        assert peaks[1] - peaks[0] < 40.0
 
 
 class TestFigureDatasets:
@@ -420,7 +493,7 @@ class TestSimulateCommand:
                 "steps": cfg.steps, "n_paths": cfg.n_paths,
                 "burn_in": cfg.burn_in, "seed": cfg.seed}
         emit = datasets.to_csv if fmt == "csv" else datasets.to_json
-        assert out == emit(Dataset(["path", "step", "x"], rows, meta))
+        assert out == emitted(emit, Dataset(["path", "step", "x"], rows, meta))
 
     def test_seed_required(self, capsys):
         assert run_cli(["simulate"], capsys)[0] == 2
@@ -444,7 +517,7 @@ class TestDistSampleCommand:
         xs = qdist.sample_qgaussian(qdist.QGaussian(-0.7, 0.3, 1.0), 400, 12)
         meta = {"q": -0.7, "mu": 0.3, "sigma_sq": 1.0, "seed": 12}
         emit = datasets.to_csv if fmt == "csv" else datasets.to_json
-        assert out == emit(Dataset(["x"], [(v,) for v in xs], meta))
+        assert out == emitted(emit, Dataset(["x"], [(v,) for v in xs], meta))
 
 
 class TestDeterminism:

@@ -2,18 +2,31 @@
 
 The references format each cell on its own at 12 significant digits, and
 JSON parses each cell back to a float for `json.dumps` to write; the
-emitters under test format every cell in one call and patch the cells
-whose JSON form differs in style.  Both must write the same bytes.
+emitters under test write the table in blocks of `datasets._BLOCK` rows,
+format each block in one call and patch the cells whose JSON form differs
+in style.  Both must write the same bytes, whatever the block size and
+wherever a block boundary falls.
 """
 
+import io
 import json
 import math
+import os
+from unittest import mock
 
+import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcoupling import datasets
 from qcoupling.datasets import Dataset
+
+
+def emitted(emit, dataset):
+    fh = io.StringIO()
+    emit(dataset, fh)
+    return fh.getvalue()
 
 
 def _reference_columns(dataset):
@@ -65,5 +78,40 @@ def tables(draw):
 @example(Dataset(["a", "b"], [], {"note": "empty"}))
 @settings(max_examples=300, deadline=None)
 def test_emitters_match_the_per_value_reference(dataset):
-    assert datasets.to_csv(dataset) == reference_csv(dataset)
-    assert datasets.to_json(dataset) == reference_json(dataset)
+    # the module's block size, and blocks small enough that the drawn
+    # tables span several
+    for block in (datasets._BLOCK, 1, 2, 3):
+        with mock.patch.object(datasets, "_BLOCK", block):
+            assert emitted(datasets.to_csv, dataset) == reference_csv(dataset)
+            assert emitted(datasets.to_json, dataset) == reference_json(
+                dataset)
+
+
+_SPECIAL = [-0.0, math.inf, 5e-324, 1e12]
+
+
+def assert_same(got, want):
+    # names the first differing character: pytest's own diff of two
+    # megabyte strings takes minutes
+    if got != want:
+        i = len(os.path.commonprefix([got, want]))
+        j = max(i - 40, 0)
+        pytest.fail(f"differ at character {i}: "
+                    f"{got[j:i + 40]!r} != {want[j:i + 40]!r}")
+
+
+@pytest.mark.parametrize("meta", [{}, {"note": "meta", "q": [0.5, -1.0]}])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_block_boundaries(offset, meta):
+    # each row next to a boundary holds every cell whose JSON form is
+    # patched, and the table ends one row short of, at or past a block
+    n = datasets._BLOCK + offset
+    rng = np.random.default_rng(offset + 1)
+    rows = rng.standard_normal((n, 4)) * 10.0 ** rng.integers(-20, 20, (n, 4))
+    for r in (0, datasets._BLOCK - 2, datasets._BLOCK - 1, datasets._BLOCK,
+              n - 1):
+        if r < n:
+            rows[r] = np.roll(_SPECIAL, r)
+    dataset = Dataset(["a", "b", "c", "d"], rows, meta)
+    assert_same(emitted(datasets.to_csv, dataset), reference_csv(dataset))
+    assert_same(emitted(datasets.to_json, dataset), reference_json(dataset))
