@@ -6,7 +6,9 @@ alternating pairs of runs.
       [--seed FIRST] [--workload NAME ...]
 
 The parent's tree is taken from `git archive <ref>` into a temporary
-directory; the change is the working tree of this checkout. Pair i runs
+directory; the change is the working tree of this checkout. Above the
+table it prints the net line count of src/ from the parent to the working
+tree's tracked files (`git diff --numstat <ref> -- src`). Pair i runs
 `bench/run.py --trace 0 --seed FIRST+i` once on each side, and the side
 that runs first alternates from pair to pair. For every workload and
 end-to-end metric of BENCHMARK.json it prints each side's median and
@@ -34,6 +36,16 @@ def export(ref, dest):
                          stdout=subprocess.PIPE, check=True).stdout
     with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
         archive.extractall(dest, filter="data")
+
+
+def net_src_lines(ref):
+    """Lines added minus lines deleted under src/ from ref to the working
+    tree."""
+    stat = subprocess.run(["git", "diff", "--numstat", ref, "--", "src"],
+                          cwd=ROOT, stdout=subprocess.PIPE, text=True,
+                          check=True).stdout
+    counts = [line.split("\t")[:2] for line in stat.splitlines()]
+    return sum(int(a) - int(d) for a, d in counts if a != "-")
 
 
 def bench(root, workload, seed, seconds):
@@ -68,6 +80,8 @@ def main():
         ap.error("--pairs must be at least 1")
     lower = {m["name"]: m["better"] == "lower" for m in manifest["end_to_end"]}
 
+    print(f"net src/ lines against {args.parent}: "
+          f"{net_src_lines(args.parent):+d}", flush=True)
     ok = True
     with tempfile.TemporaryDirectory() as tmp:
         export(args.parent, tmp)

@@ -118,14 +118,7 @@ def _emit(dataset, fmt: str, out):
         with open(out, "w", encoding="utf-8") as fh:
             write(dataset, fh)
         return
-    try:
-        write(dataset, sys.stdout)
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader left (`| head`): flush the rest into the null device
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+    write(dataset, sys.stdout)
 
 
 def _cmd_eval(args, parser):
@@ -282,15 +275,21 @@ _HANDLERS = {
 
 def run(argv=None) -> int:
     parser = build_parser()
+    code = 0
     try:
         args = parser.parse_args(argv)
-        return _HANDLERS[args.command](args, parser)
+        code = _HANDLERS[args.command](args, parser)
+        sys.stdout.flush()
+        return code
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 2
-    except CouplingError as e:
-        print(f"{type(e).__name__}: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
+    except BrokenPipeError:
+        # the reader left (`| head`): flush the rest into the null device
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return code
+    except (CouplingError, OSError) as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
         return 1
 

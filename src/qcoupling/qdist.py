@@ -25,6 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _chunks
 from ._quadrature import line_quad
 from .errors import DomainError, NumericsError
 from .qcore import exp_q_neg_power
@@ -339,8 +340,6 @@ def coupling_phi(q, alpha) -> float:
     return -q / (alpha + q)
 
 
-# Draws per independent stream of sample_qgaussian
-_CHUNK = 1 << 16
 # Beyond this k ln V, expm1 overflows and R takes its exponential tail
 _TAIL = 700.0
 
@@ -362,11 +361,8 @@ def sample_qgaussian(dist: QFamily, n: int, seed=None) -> np.ndarray:
     sqrt(-2/k) exp(k ln V / 2), and NumericsError is raised where draws
     pass the float range (near q = -2).
 
-    The draws come in chunks of _CHUNK, chunk j from its own SFC64
-    stream, the j-th child of SeedSequence(seed), which gives the chunk's
-    U2 and then its U1; the chunks are filled on up to one thread per
-    available core, and the values depend on the seed alone, not on the
-    core count.
+    The draws come in chunks of _chunks.CHUNK, each from its stream in
+    the _chunks engine, which gives the chunk's U2 and then its U1.
     """
     n = _integer(n, "sample count", 1)
     if seed is not None:
@@ -376,40 +372,28 @@ def sample_qgaussian(dist: QFamily, n: int, seed=None) -> np.ndarray:
     k = 0.0 if abs(q) <= COUPLING_EPS else -conj_hat(q)
     scale, mu = math.sqrt(dist.sigma_sq), dist.mu
     out = np.empty(n)
-    chunks = -(-n // _CHUNK)
-    children = np.random.SeedSequence(seed).spawn(chunks)
-    workers = min(_cores(), chunks)
-    # the cosine of each worker's current chunk, allocated here: what a
-    # worker thread allocates stays resident in that thread's malloc arena
-    scratch = np.empty((workers, min(n, _CHUNK)))
+    count = -(-n // _chunks.CHUNK)
+    # two chunks per thread: with one, the caller stalls on chunk j
+    window = min(count, 2 * _chunks.cores())
+    # the cosine of each chunk in flight, allocated here: what a worker
+    # thread allocates stays resident in that thread's malloc arena
+    scratch = np.empty((window, min(n, _chunks.CHUNK)))
 
-    def fill(w):
-        """Chunks w, w + workers, ...; returns their non-finite count."""
-        bad = 0
-        for j in range(w, chunks, workers):
-            o = out[j * _CHUNK:(j + 1) * _CHUNK]
-            u2 = scratch[w, :o.size]
-            rng = np.random.Generator(np.random.SFC64(children[j]))
-            rng.random(out=u2)
-            _cos_two_pi(u2, o)
-            rng.random(out=o)
-            with np.errstate(over="ignore"):
-                _box_muller_radius(o, k)
-                o *= u2
-                o *= scale
-                o += mu
-            bad += o.size - np.count_nonzero(np.isfinite(o))
-        return bad
+    def fill(j, rng):
+        """Chunk j into out; returns its non-finite count."""
+        o = out[j * _chunks.CHUNK:(j + 1) * _chunks.CHUNK]
+        u2 = scratch[j % window, :o.size]
+        rng.random(out=u2)
+        _cos_two_pi(u2, o)
+        rng.random(out=o)
+        with np.errstate(over="ignore"):
+            _box_muller_radius(o, k)
+            o *= u2
+            o *= scale
+            o += mu
+        return o.size - np.count_nonzero(np.isfinite(o))
 
-    if workers == 1:
-        bad = fill(0)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        # this thread fills its share alongside workers - 1 helpers
-        with ThreadPoolExecutor(workers - 1) as pool:
-            helped = pool.map(fill, range(1, workers))
-            bad = fill(0) + sum(helped)
+    bad = sum(_chunks.in_order(fill, seed, count, window))
     if bad:
         raise NumericsError(
             f"{bad} of {n} draws at coupling {q} exceed the float range")
@@ -452,13 +436,3 @@ def _box_muller_radius(o, k):
         o[tail] = far
     else:
         np.minimum(o, math.sqrt(2.0 / k) * (1.0 - 1e-7), out=o)
-
-
-def _cores():
-    """CPUs this process may run on."""
-    import os
-
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not on every platform
-        return os.cpu_count() or 1

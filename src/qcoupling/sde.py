@@ -20,6 +20,7 @@ likelihood's closed-form derivatives.
 """
 
 import math
+from contextlib import closing
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -27,12 +28,10 @@ import numpy as np
 
 from .errors import (DomainError, InstabilityError, InsufficientDataError,
                      NumericsError)
-from . import qdist
+from . import _chunks, qdist
 from .qseq import _finite, _integer
 
 _BLOWUP = 1.0e12
-# Noise values per chunk, each chunk from its own stream
-_CHUNK = 1 << 16
 # Noise values held at once, all chunk slots together, whatever the path count
 _NOISE_VALUES = 1 << 21
 
@@ -147,21 +146,14 @@ def simulate(cfg):
     (Kloeden & Platen 1992, section 10.2). It is computed as
     x (1 + d) + sqrt(x^2 + A/M) (m N), or, where M = 0 or A/M is past the
     float range, as x (1 + d) + sqrt((M/A) x^2 + 1) (a N).
-    The noise comes in chunks of max(1, min(steps, _CHUNK // n_paths))
-    steps, one normal per path and step. Chunk j is drawn from its own
-    stream, Generator(SFC64(child)) with child the j-th child of
-    SeedSequence(seed), so the samples depend on the seed and the config
-    alone, not on the core count or on _NOISE_VALUES. Worker threads, one
-    per available core beyond the first, fill chunks ahead of the stepping
-    thread into a ring of _NOISE_VALUES values; while its next chunk is
-    not ready, the stepping thread draws the chunks no thread has started.
+    The noise, one normal per path and step, comes from the _chunks
+    engine in chunks of max(1, min(steps, CHUNK // n_paths)) steps, drawn
+    ahead of the stepping thread into a ring of _NOISE_VALUES values; the
+    samples depend on the seed and the config alone.
     Raises InstabilityError if any path exceeds |X| = 1e12, naming the
     first step where one does; |X| is tested at the end of each chunk,
     so a path that passes 1e12 and returns within a chunk is not seen.
     """
-    from collections import deque
-    from concurrent.futures import Future, ThreadPoolExecutor
-
     n, steps = cfg.n_paths, cfg.steps
     growth = 1.0 - (cfg.tau - cfg.M) * cfg.dt
     if cfg.M > 0.0 and cfg.A / cfg.M < math.inf:
@@ -179,67 +171,43 @@ def simulate(cfg):
         out[:, 0] = x
         k, next_keep = 1, stride
 
-    rows = max(1, min(steps, _CHUNK // n))
+    rows = max(1, min(steps, _chunks.CHUNK // n))
     chunks = -(-steps // rows)
     slots = min(chunks, max(2, _NOISE_VALUES // (rows * n)))
     # allocated after the outputs: before them it left 0.6 MB more
     # resident over repeated runs
     ring = np.empty((slots, rows, n))
-    entropy = np.random.SeedSequence(cfg.seed).entropy
 
-    def draw(j):
-        """Chunk j of the noise, unscaled, in its slot of the ring; its
-        stream's seed is the j-th child that spawn() would give."""
+    def draw(j, rng):
+        """Chunk j of the noise, unscaled, in its slot of the ring."""
         z = ring[j % slots, :min(rows, steps - j * rows)]
-        child = np.random.SeedSequence(entropy, spawn_key=(j,))
-        np.random.Generator(np.random.SFC64(child)).standard_normal(out=z)
+        rng.standard_normal(out=z)
         return z
 
     step = 0
-    workers = min(qdist._cores(), chunks) - 1
-    pool = ThreadPoolExecutor(workers) if workers else None
-    try:
-        if pool:
-            ahead = deque(pool.submit(draw, j) for j in range(slots))
-        with np.errstate(over="ignore", invalid="ignore"):
-            for j in range(chunks):
-                if pool:
-                    # while chunk j is not ready, the draws that no worker
-                    # has started are taken here, in order
-                    for i in range(len(ahead)):
-                        if ahead[0].done():
-                            break
-                        if ahead[i].cancel():
-                            ahead[i] = Future()
-                            ahead[i].set_result(draw(j + i))
-                    z = ahead.popleft().result()
-                else:
-                    z = draw(j)
-                # scaled here: on a worker the product would take the GIL
-                # once more per chunk, and this loop holds it
-                z *= scale
-                np.copyto(x0, x)
-                for row in z:
-                    x, t = _step(x, t, s, row, growth, mul, add)
-                    step += 1
-                    if step == next_keep and k < n_keep:
-                        out[:, k] = x
-                        k += 1
-                        next_keep += stride
-                if _blown(x):
-                    # |X| is tested once per chunk; the chunk's rows,
-                    # replayed from its start, name the step that blew up
-                    for step, row in enumerate(z, j * rows + 1):
-                        x0, t = _step(x0, t, s, row, growth, mul, add)
-                        if _blown(x0):
-                            break
-                    raise InstabilityError(
-                        f"|X| exceeded {_BLOWUP:g} at step {step}; reduce dt")
-                if pool and j + slots < chunks:
-                    ahead.append(pool.submit(draw, j + slots))
-    finally:
-        if pool:
-            pool.shutdown(cancel_futures=True)
+    with closing(_chunks.in_order(draw, cfg.seed, chunks, slots)) as noise, \
+            np.errstate(over="ignore", invalid="ignore"):
+        for j, z in enumerate(noise):
+            # scaled here: on a worker the product would take the GIL
+            # once more per chunk, and this loop holds it
+            z *= scale
+            np.copyto(x0, x)
+            for row in z:
+                x, t = _step(x, t, s, row, growth, mul, add)
+                step += 1
+                if step == next_keep and k < n_keep:
+                    out[:, k] = x
+                    k += 1
+                    next_keep += stride
+            if _blown(x):
+                # |X| is tested once per chunk; the chunk's rows,
+                # replayed from its start, name the step that blew up
+                for step, row in enumerate(z, j * rows + 1):
+                    x0, t = _step(x0, t, s, row, growth, mul, add)
+                    if _blown(x0):
+                        break
+                raise InstabilityError(
+                    f"|X| exceeded {_BLOWUP:g} at step {step}; reduce dt")
     return out.ravel()
 
 

@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,7 +20,9 @@ def test_bench_pairs_script_runs():
          "--workload", "transform-sweep"],
         capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    rows = [line.split() for line in proc.stdout.splitlines()]
+    net, *table = proc.stdout.splitlines()
+    assert re.fullmatch(r"net src/ lines against HEAD: [+-]\d+", net)
+    rows = [line.split() for line in table]
     assert [r[:2] for r in rows] == [["transform-sweep", m]
                                      for m in ("pass_s", "setup_s", "peak_rss_mb")]
     for r in rows:

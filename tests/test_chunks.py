@@ -1,0 +1,115 @@
+import sys
+import threading
+from contextlib import closing
+
+import numpy as np
+import pytest
+
+from qcoupling import _chunks
+
+
+def _stream_value(seed, j):
+    # the first uniform of chunk j's stream, from the j-th spawned child
+    child = np.random.SeedSequence(seed).spawn(j + 1)[j]
+    return np.random.Generator(np.random.SFC64(child)).random()
+
+
+@pytest.fixture
+def short_switch():
+    # a chunk handed over before its call ends, or a slot reused while
+    # the caller still holds it, shows with a 1 us switch interval
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    yield
+    sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("cores", [1, 2, 8])
+@pytest.mark.parametrize("window", [1, 2, 4])
+def test_results_in_order_with_disjoint_slots(monkeypatch, short_switch,
+                                              cores, window):
+    monkeypatch.setattr(_chunks, "cores", lambda: cores)
+    lock, live, clashes = threading.Lock(), set(), []
+
+    def fn(j, rng):
+        # slot j % window is live from the start of fn(j) until the
+        # caller is done with its result
+        with lock:
+            if j % window in live:
+                clashes.append(j)
+            live.add(j % window)
+        value = rng.random()
+        rng.standard_normal(1000)
+        return j, value
+
+    before = threading.active_count()
+    for count in sorted({1, window - 1, window, window + 1, 5 * window + 3}):
+        taken = []
+        for j, value in _chunks.in_order(fn, 7, count, window):
+            taken.append((j, value))
+            with lock:
+                live.discard(j % window)
+        assert taken == [(j, _stream_value(7, j)) for j in range(count)]
+        assert clashes == []
+        assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("cores", [1, 4])
+def test_failure_in_fn_reaches_the_caller(monkeypatch, cores):
+    # with workers, the calls the caller runs wait until a worker has
+    # failed, so the failure comes from a worker
+    monkeypatch.setattr(_chunks, "cores", lambda: cores)
+    failed = threading.Event()
+
+    def fn(j, rng):
+        on_worker = threading.current_thread() is not threading.main_thread()
+        if on_worker or cores == 1:
+            failed.set()
+            raise RuntimeError(f"call {j} failed")
+        assert failed.wait(10)
+        return j
+
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="call .* failed"):
+        for _ in _chunks.in_order(fn, 1, 20, 4):
+            pass
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("cores", [1, 4])
+def test_failure_in_the_callers_loop_leaves_no_worker(monkeypatch, cores):
+    monkeypatch.setattr(_chunks, "cores", lambda: cores)
+    calls = []
+
+    def fn(j, rng):
+        calls.append(j)
+        rng.standard_normal(10_000)
+        return j
+
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="stop at 2"):
+        with closing(_chunks.in_order(fn, 1, 50, 4)) as results:
+            for j in results:
+                if j == 2:
+                    raise ValueError("stop at 2")
+    assert threading.active_count() == before
+    # no call past the window of the last one taken ever started
+    assert max(calls) <= 2 + 4 - 1
+
+
+def test_caller_runs_the_calls_no_worker_started(monkeypatch):
+    # one worker, held until the caller has run the other calls itself
+    monkeypatch.setattr(_chunks, "cores", lambda: 2)
+    release, on_main, waits = threading.Event(), [], []
+
+    def fn(j, rng):
+        if threading.current_thread() is threading.main_thread():
+            on_main.append(j)
+            if len(on_main) == 3:
+                release.set()
+        else:
+            waits.append(release.wait(2))
+        return j
+
+    assert list(_chunks.in_order(fn, 1, 4, 4)) == [0, 1, 2, 3]
+    assert len(on_main) >= 3 and all(waits)

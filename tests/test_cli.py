@@ -321,24 +321,56 @@ class TestEmission:
         assert (code, out) == (1, "")
         assert err.startswith("OSError: [Errno 28]")
 
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_closed_stdout_exits_quietly(self, fmt):
-        # the reader takes a few bytes and closes, as `| head -1` does; the
-        # table is larger than a pipe holds, so the writer meets the close.
-        # stdout is block-buffered, as by default.
+    _SAMPLE = ["dist", "sample", "--q", "-0.5", "--n", "100000", "--seed", "1"]
+
+    @pytest.mark.parametrize("argv, head", [
+        pytest.param(_SAMPLE + ["--format", "csv"], b"x\n", id="csv"),
+        pytest.param(_SAMPLE + ["--format", "json"], b'{"columns"', id="json"),
+        pytest.param(["eval", "exp_q", "--q", "0.5", "--x", "1"], b"",
+                     id="eval"),
+        pytest.param(["seq", "hat", "--q", "1"], b"", id="seq"),
+        pytest.param(["dist", "cq", "--q", "0.5"], b"", id="dist-cq"),
+        pytest.param(["dist", "pdf", "--q", "0.5", "--x", "0"], b"",
+                     id="dist-pdf"),
+        pytest.param(["selfcheck"], b"", id="selfcheck"),
+    ])
+    def test_closed_stdout_exits_quietly(self, argv, head):
+        # a table is larger than a pipe holds: the reader takes a few bytes
+        # and closes, as `| head -1` does, and the writer meets the close.
+        # The other subcommands write into a pipe whose reader is already
+        # gone, as `| true` leaves it. stdout is block-buffered, as by
+        # default.
         env = _src_env()
         env.pop("PYTHONUNBUFFERED", None)
+        read_end, write_end = os.pipe()
+        if not head:
+            os.close(read_end)
         with subprocess.Popen(
-                [sys.executable, "-m", "qcoupling.cli", "dist", "sample",
-                 "--q", "-0.5", "--n", "100000", "--seed", "1",
-                 "--format", fmt],
-                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                env=env) as proc:
-            first = proc.stdout.read(100)
-            proc.stdout.close()
+                [sys.executable, "-m", "qcoupling.cli", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, env=env) as proc:
+            os.close(write_end)
+            if head:
+                with open(read_end, "rb") as reader:
+                    first = reader.read(100)
+                assert first.startswith(head)
             _, err = proc.communicate(timeout=60)
-        assert first.startswith(b"x\n" if fmt == "csv" else b'{"columns"')
         assert (proc.returncode, err) == (0, b"")
+
+    def test_closed_stdout_keeps_a_failing_exit_code(self, monkeypatch):
+        # a selfcheck that fails while its reader is gone still exits 1;
+        # its lines meet the closed pipe at the final flush
+        from qcoupling import selfcheck
+
+        def failing():
+            print("FAIL  01 stub")
+            return False
+
+        monkeypatch.setattr(selfcheck, "run_selfcheck", failing)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "w") as closed:
+            monkeypatch.setattr(sys, "stdout", closed)
+            assert cli.run(["selfcheck"]) == 1
 
     @pytest.mark.skipif(not _has_vmhwm(), reason="needs VmHWM in "
                         "/proc/self/status")
@@ -662,19 +694,22 @@ _MODULE_BUDGET = [
     (["seq", "hat", "--q", "1"], {"qseq"}, False),
     (["dist", "cq", "--q", "-1"], {"qseq"}, False),
     (["dist", "pdf", "--q", "0.5", "--x", "0.3"],
-     {"_quadrature", "qcore", "qdist", "qseq"}, True),
+     {"_chunks", "_quadrature", "qcore", "qdist", "qseq"}, True),
     (["dist", "sample", "--q", "-0.5", "--n", "20", "--seed", "7"],
-     {"_quadrature", "datasets", "qcore", "qdist", "qseq"}, True),
+     {"_chunks", "_quadrature", "datasets", "qcore", "qdist", "qseq"}, True),
     (["transform", "gaussian", "--q", "0.5", "--n", "3"],
-     {"_quadrature", "datasets", "qcore", "qdist", "qft", "qseq"}, True),
+     {"_chunks", "_quadrature", "datasets", "qcore", "qdist", "qft", "qseq"},
+     True),
     (["simulate", "--seed", "3", "--n-paths", "4", "--steps", "50",
       "--burn-in", "10"],
-     {"_quadrature", "datasets", "qcore", "qdist", "qseq", "sde"}, True),
-    (["figure", "3"],
-     {"_quadrature", "datasets", "qcore", "qdist", "qft", "qseq"}, True),
-    (["selfcheck"],
-     {"_quadrature", "qcore", "qdist", "qft", "qseq", "sde", "selfcheck"},
+     {"_chunks", "_quadrature", "datasets", "qcore", "qdist", "qseq", "sde"},
      True),
+    (["figure", "3"],
+     {"_chunks", "_quadrature", "datasets", "qcore", "qdist", "qft", "qseq"},
+     True),
+    (["selfcheck"],
+     {"_chunks", "_quadrature", "qcore", "qdist", "qft", "qseq", "sde",
+      "selfcheck"}, True),
 ]
 
 

@@ -7,6 +7,7 @@ the defining integrals)."""
 
 import math
 import sys
+import threading
 import tracemalloc
 
 import mpmath as mp
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import beta as beta_law, kstest, norm, t as student_t
 
-from qcoupling import qdist
+from qcoupling import _chunks, qdist
 from qcoupling.errors import DomainError, NumericsError
 from qcoupling.qcore import Coupling, exp_q
 from qcoupling.qdist import (
@@ -614,6 +615,26 @@ def _scipy_law(q, mu, sigma_sq):
     return beta_law(1.0 / q + 1.0, 1.0 / q + 1.0, mu - half, 2.0 * half)
 
 
+def _reference_sample(dist, n, seed):
+    """The sampler spelled out chunk by chunk: chunk j of CHUNK draws takes
+    U2 and then U1 from the j-th child of SeedSequence(seed), and x = mu +
+    sqrt(sigma_sq) R cos(2 pi U2) in the sampler's grouping."""
+    size = TestBoxMullerSampler.CHUNK
+    k = -conj_hat(dist.q) if dist.q else 0.0
+    children = np.random.SeedSequence(seed).spawn(-(-n // size))
+    chunks = []
+    for j, child in enumerate(children):
+        m = min(size, n - j * size)
+        rng = np.random.Generator(np.random.SFC64(child))
+        cos = rng.random(m)
+        qdist._cos_two_pi(cos, np.empty(m))
+        r = rng.random(m)
+        with np.errstate(over="ignore"):
+            qdist._box_muller_radius(r, k)
+        chunks.append(r * cos * math.sqrt(dist.sigma_sq) + dist.mu)
+    return np.concatenate(chunks)
+
+
 class TestBoxMullerSampler:
     CHUNK = 1 << 16
 
@@ -644,12 +665,46 @@ class TestBoxMullerSampler:
         sys.setswitchinterval(1e-6)
         try:
             for cores in (1, 2, 8):
-                monkeypatch.setattr(qdist, "_cores", lambda cores=cores: cores)
+                monkeypatch.setattr(_chunks, "cores", lambda cores=cores: cores)
                 runs.append(sample_qgaussian(QGaussian(-0.7), n, seed=3))
         finally:
             sys.setswitchinterval(interval)
         for run in runs[1:]:
             assert np.array_equal(run, runs[0])
+
+    @pytest.mark.parametrize("q", [-0.7, 0.0, 1.5])
+    def test_matches_per_chunk_streams(self, q):
+        # three chunks, the last of 5 draws: a stream keyed to the wrong
+        # chunk, or a chunk written to the wrong place, shows
+        d = QGaussian(q, 0.3, 1.7)
+        n = 2 * self.CHUNK + 5
+        assert np.array_equal(sample_qgaussian(d, n, seed=4),
+                              _reference_sample(d, n, 4))
+
+    @pytest.mark.parametrize("failure", ["draw", "range"])
+    def test_failed_run_leaves_no_worker_thread(self, monkeypatch, failure):
+        # eight chunks on four threads: a draw that fails on whichever
+        # thread draws it, or draws past the float range near q = -2
+        real_generator = np.random.Generator
+
+        class Failing:
+            # the last chunk, the only short one, fails its first draw
+            def __init__(self, bit_generator):
+                self.rng = real_generator(bit_generator)
+
+            def random(self, out):
+                if out.size < TestBoxMullerSampler.CHUNK:
+                    raise RuntimeError("draw failed")
+                return self.rng.random(out=out)
+
+        monkeypatch.setattr(_chunks, "cores", lambda: 4)
+        if failure == "draw":
+            monkeypatch.setattr(np.random, "Generator", Failing)
+        error = RuntimeError if failure == "draw" else NumericsError
+        before = threading.active_count()
+        with pytest.raises(error):
+            sample_qgaussian(QGaussian(-1.999), 8 * self.CHUNK - 3, seed=2)
+        assert threading.active_count() == before
 
     @pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, CHUNK + 10])
     def test_whole_chunks_do_not_depend_on_count(self, n):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcoupling import qdist, qseq, sde
+from qcoupling import _chunks, qdist, qseq, sde
 from qcoupling.errors import (
     DomainError,
     InstabilityError,
@@ -23,7 +23,7 @@ def _reference_noise(cfg):
     # chunk j holds the noise of rows steps of every path and is drawn
     # whole from the j-th child of SeedSequence(seed); the last chunk
     # draws the steps that are left
-    rows = max(1, min(cfg.steps, sde._CHUNK // cfg.n_paths))
+    rows = max(1, min(cfg.steps, _chunks.CHUNK // cfg.n_paths))
     starts = range(0, cfg.steps, rows)
     children = np.random.SeedSequence(cfg.seed).spawn(len(starts))
     return np.concatenate([
@@ -214,14 +214,14 @@ class TestSimulate:
     def test_blocked_noise_matches_whole_run_draws(self, monkeypatch, block):
         # a whole-run chunk and 64-step chunks
         cfg = sde.SdeConfig(steps=300, n_paths=5, burn_in=37, seed=11)
-        monkeypatch.setattr(sde, "_CHUNK", block * cfg.n_paths)
+        monkeypatch.setattr(_chunks, "CHUNK", block * cfg.n_paths)
         assert np.array_equal(sde.simulate(cfg), _reference_samples(cfg))
 
     @pytest.mark.parametrize("n_paths", [37, 389])
     def test_partial_blocks_match_whole_run_draws(self, monkeypatch, n_paths):
         # 40-step chunks leave a 20-step last chunk
         cfg = sde.SdeConfig(steps=300, n_paths=n_paths, burn_in=37, seed=5)
-        monkeypatch.setattr(sde, "_CHUNK", 40 * cfg.n_paths)
+        monkeypatch.setattr(_chunks, "CHUNK", 40 * cfg.n_paths)
         assert np.array_equal(sde.simulate(cfg), _reference_samples(cfg))
 
     def test_independent_of_cores_and_ring_size(self, monkeypatch):
@@ -230,13 +230,13 @@ class TestSimulate:
         # interval a chunk read before its draw ends, or a slot drawn over
         # before it is stepped, shows as a difference
         cfg = sde.SdeConfig(steps=300, n_paths=7, burn_in=20, seed=13)
-        monkeypatch.setattr(sde, "_CHUNK", 16 * cfg.n_paths)
+        monkeypatch.setattr(_chunks, "CHUNK", 16 * cfg.n_paths)
         want = _reference_samples(cfg)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for cores in (1, 2, 8):
-                monkeypatch.setattr(qdist, "_cores", lambda cores=cores: cores)
+                monkeypatch.setattr(_chunks, "cores", lambda cores=cores: cores)
                 for ring in (2 * 16, cfg.steps):
                     monkeypatch.setattr(sde, "_NOISE_VALUES", ring * cfg.n_paths)
                     assert np.array_equal(sde.simulate(cfg), want)
@@ -312,7 +312,7 @@ class TestSimulate:
         cfg = sde.SdeConfig(M=20.0, tau=1.0, A=0.5, dt=0.05, steps=5000,
                             n_paths=8, burn_in=10, seed=1)
         for block in (cfg.steps, 64, 16):
-            monkeypatch.setattr(sde, "_CHUNK", block * cfg.n_paths)
+            monkeypatch.setattr(_chunks, "CHUNK", block * cfg.n_paths)
             want = _reference_blowup_step(cfg)
             assert want < cfg.steps and want % block
             with pytest.raises(InstabilityError, match=f" at step {want};"):
@@ -320,7 +320,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize("n_paths", [5, 1])
     def test_repeated_runs_are_bitwise_equal(self, monkeypatch, n_paths):
-        monkeypatch.setattr(sde, "_CHUNK", 64 * n_paths)
+        monkeypatch.setattr(_chunks, "CHUNK", 64 * n_paths)
         cfg = sde.SdeConfig(steps=300, n_paths=n_paths, burn_in=37, seed=11)
         runs = [sde.simulate(cfg) for _ in range(3)]
         for run in runs[1:]:
@@ -330,8 +330,8 @@ class TestSimulate:
     def test_instability_leaves_no_worker_thread(self, monkeypatch):
         # 64-step chunks: the blow-up is found at the end of an early
         # chunk, while the draws of later ones are pending
-        monkeypatch.setattr(sde, "_CHUNK", 64 * 8)
-        monkeypatch.setattr(qdist, "_cores", lambda: 4)
+        monkeypatch.setattr(_chunks, "CHUNK", 64 * 8)
+        monkeypatch.setattr(_chunks, "cores", lambda: 4)
         cfg = sde.SdeConfig(M=20.0, tau=1.0, A=0.5, dt=0.05, steps=5000,
                             n_paths=8, burn_in=10, seed=1)
         before = threading.active_count()
@@ -357,7 +357,7 @@ class TestSimulate:
                     raise RuntimeError("draw failed")
                 return self.rng.standard_normal(out=out)
 
-        monkeypatch.setattr(sde, "_CHUNK", 64 * 5)
+        monkeypatch.setattr(_chunks, "CHUNK", 64 * 5)
         monkeypatch.setattr(np.random, "Generator", Failing)
         for failing_draw in (1, 3):
             Failing.draws = 0
