@@ -8,11 +8,16 @@ from exp_q of imaginary arguments.
 
 Branch conventions used throughout the package:
 
-* One band rule: |q| <= COUPLING_EPS evaluates the q -> 0 limit through
-  the continuation exp(z*(1 - q*z/2)), which keeps the first order in q,
-  while |q*z| <= sqrt(eps); past that the exact form (1 + q*z)^(1/q) is
-  used, for real and imaginary z alike.  q_prod and q_div are exp_q of
-  the summed ln_q there.
+* One band rule, in one switch: |q| <= COUPLING_EPS evaluates the q -> 0
+  limit through the continuation exp(z*(1 - q*z/2)), which keeps the
+  first order in q, while |q*z| <= sqrt(eps); past that the exact form
+  (1 + q*z)^(1/q) is used, for real and imaginary z alike.  q_prod and
+  q_div are exp_q of the summed ln_q there.
+* q_add and q_sub scale their terms by one power of 2, so none overflows,
+  and q_add adds back the rounding of its sums: with eps = 2^-52, q_add
+  is within 2 eps (|x| + |y| + |q*x*y|) + 2^-1074 and q_sub within
+  eps |r| (3 + 2 |q*y|/|1 + q*y|) + 2^-1074 of the exact r; an r past
+  the float range gives inf of its sign.
 * exp_q off the real axis is taken at imaginary arguments only, the one
   kind the deformed Fourier kernel needs.  exp_q_polar gives exp_q(i*y)
   in real arithmetic on the polar form of 1 + i*q*y, as the real pair
@@ -42,7 +47,6 @@ from .qseq import COUPLING_EPS, _POLE_TOL, _finite, _integer, coupling_value
 # term q^2 z^3/3 of the exponent passes the exact form's rounding, about
 # eps |z|.
 _BAND_QZ = math.sqrt(np.finfo(float).eps)
-_TINY = np.finfo(float).smallest_normal
 
 # exp_q(-beta |x|^alpha) switches to log space past this beta |x|^alpha.
 _LOG_SPACE_ARG = 1e300
@@ -93,9 +97,32 @@ def _scalar_or_array(kernel, q, x, *args):
     least one dimension: a scalar x gives a Python float back, an array x
     an array of its shape."""
     q = coupling_value(q)
-    x = np.asarray(x, dtype=float)
+    x = _float_array(x, "x")
     out = kernel(q, np.atleast_1d(x), *args)
     return float(out[0]) if x.ndim == 0 else out
+
+
+def _float_array(values, name: str) -> np.ndarray:
+    """values as a float array; an int past the float range raises
+    DomainError naming them."""
+    try:
+        return np.asarray(values, dtype=float)
+    except OverflowError:
+        raise DomainError(f"{name} is past the float range") from None
+
+
+def _banded(q: float, z: np.ndarray, near, exact) -> np.ndarray:
+    """The one band switch: exact(z) off the classical band, else near(z)
+    but exact(z) where |q*z| > _BAND_QZ; pairs stack on a leading axis."""
+    # past the float range a value saturates
+    with np.errstate(over="ignore"):
+        if abs(q) > COUPLING_EPS:
+            return exact(z)
+        out = near(z)
+        far = np.abs(q * z) > _BAND_QZ
+        if far.any():
+            out[..., far] = exact(z[far])
+    return out
 
 
 def exp_q(q, x):
@@ -120,16 +147,8 @@ def exp_q(q, x):
 def _exp_q(q: float, x: np.ndarray) -> np.ndarray:
     if not np.isfinite(x).all():
         raise DomainError("x must be finite")
-    # past the float range the value saturates to inf (or 0)
-    with np.errstate(over="ignore"):
-        if abs(q) > COUPLING_EPS:
-            return _exp_q_exact(q, q * x)
-        out = np.exp(x * (1.0 - 0.5 * q * x))
-        if x.size and abs(q) * max(x.max(), -x.min()) > _BAND_QZ:
-            qx = q * x
-            far = np.abs(qx) > _BAND_QZ
-            out[far] = _exp_q_exact(q, qx[far])
-    return out
+    return _banded(q, x, lambda x: np.exp(x * (1.0 - 0.5 * q * x)),
+                   lambda x: _exp_q_exact(q, q * x))
 
 
 def _exp_q_exact(q: float, qx: np.ndarray) -> np.ndarray:
@@ -166,9 +185,8 @@ def _exp_q_neg_power(q: float, x: np.ndarray, beta, alpha) -> np.ndarray:
     out = np.zeros_like(arg)
     out[near] = _exp_q(q, -arg[near])
     if q < -COUPLING_EPS:
-        far = arg > _LOG_SPACE_ARG
-        log_arg = math.log(-q * beta) + alpha * np.log(np.abs(x[far]))
-        out[far] = np.exp(log_arg / q)
+        log_arg = math.log(-q * beta) + alpha * np.log(np.abs(x[~near]))
+        out[~near] = np.exp(log_arg / q)
     return out
 
 
@@ -181,16 +199,9 @@ def _ln_q(q: float, x: np.ndarray) -> np.ndarray:
     if not (np.isfinite(x).all() and (x > 0.0).all()):
         raise DomainError("ln_q requires finite x > 0")
     lx = np.log(x)
-    # expm1 avoids the x^q - 1 cancellation for small q; past the float
-    # range the value saturates to inf
-    with np.errstate(over="ignore"):
-        if abs(q) > COUPLING_EPS:
-            return np.expm1(q * lx) / q
-        out = lx * (1.0 + 0.5 * q * lx)
-        far = np.abs(q * lx) > _BAND_QZ
-        if far.any():
-            out[far] = np.expm1(q * lx[far]) / q
-    return out
+    # expm1 avoids the x^q - 1 cancellation for small q
+    return _banded(q, lx, lambda lx: lx * (1.0 + 0.5 * q * lx),
+                   lambda lx: np.expm1(q * lx) / q)
 
 
 def q_add(q, x, y):
@@ -199,22 +210,13 @@ def q_add(q, x, y):
 
 
 def _q_add(q: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    qxy = q * x * y
-    # q*x can leave the float range where q*x*y does not; the product of
-    # the mantissas and the sum of the exponents cannot
-    off = ~np.isfinite(qxy) | (np.abs(q * x) < _TINY)
-    if off.any():
-        m, e = np.frexp(np.stack(np.broadcast_arrays(q, x[off], y[off])))
-        qxy[off] = np.ldexp(m[0] * m[1] * m[2], e.sum(axis=0))
-    out = x + y + qxy
-    # inf - inf: summed at the scale of the larger operand, the sum
-    # saturates with its true sign
-    bad = np.isnan(out)
-    if bad.any():
-        m = np.maximum(np.abs(x), np.abs(y))[bad]
-        u, v = x[bad] / m, y[bad] / m
-        out[bad] = m * (u + v + (q * m) * u * v)
-    return out
+    x, y, qxy, k = _one_scale(q, x, y, times_x=True)
+    s = x + y
+    t = s + qxy
+    # what each sum rounded off (Knuth's TwoSum, exact) goes back in
+    ys, qs = s - x, t - s
+    err = (x - (s - ys)) + (y - ys) + ((s - (t - qs)) + (qxy - qs))
+    return np.ldexp(t + err, k)
 
 
 def q_sub(q, x, y):
@@ -223,19 +225,21 @@ def q_sub(q, x, y):
 
 
 def _q_sub(q: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    den = 1.0 + q * y
+    x, y, qy, k = _one_scale(q, x, y, times_x=False)
+    den = np.ldexp(1.0, -k) + qy
     if (den == 0.0).any():
         raise SingularDivisorError("q_sub divisor 1 + q*y vanishes")
-    num = x - y
-    out = num / den
-    # past the float range, x - y and 1 + q*y are taken at the scale of
-    # the larger operand, where neither overflows
-    off = ~np.isfinite(num) | ~np.isfinite(den)
-    if off.any():
-        m = np.maximum(np.abs(x), np.abs(y))[off]
-        u, v = x[off] / m, y[off] / m
-        out[off] = (u - v) / (1.0 / m + q * v)
-    return out
+    return (x - y) / den
+
+
+def _one_scale(q: float, x: np.ndarray, y: np.ndarray, times_x: bool):
+    """x, y, q*y (q*x*y where times_x) from their factors' frexp parts,
+    all times 2^-k, and k >= 0, the least that keeps each below 2^1021 and
+    so any sum of two in range; exact where none leaves the normal range."""
+    (mq, mx, my), (eq, ex, ey) = np.frexp(np.stack(np.broadcast_arrays(q, x, y)))
+    mp, ep = (mq * mx * my, eq + ex + ey) if times_x else (mq * my, eq + ey)
+    k = np.maximum(np.maximum(np.maximum(ex, ey), ep) - 1021, 0)
+    return np.ldexp(mx, ex - k), np.ldexp(my, ey - k), np.ldexp(mp, ep - k), k
 
 
 def q_add_n(q, xs) -> float:
@@ -272,7 +276,7 @@ def q_prod_n(q, xs) -> float:
     """Deformed product [sum of x^q - (n - 1)]_+^(1/q) of n positive
     operands; empty input gives 1."""
     q = coupling_value(q)
-    ops = _finite_array(np.asarray(list(xs), dtype=float), "operand")
+    ops = _finite_array(list(xs), "operand")
     return float(_exp_q_of_ln_sum(q, _positive("q_prod", ops.reshape(-1, 1)))[0])
 
 
@@ -281,14 +285,13 @@ def _binary(kernel, q, x, y, names=("x", "y")):
     broadcast against each other; past the float range a result
     saturates, as float arithmetic does."""
     q = coupling_value(q)
-    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-    for v, name in zip((x, y), names):
-        _finite_array(v, name)
-    with np.errstate(over="ignore", invalid="ignore"):
+    x, y = np.broadcast_arrays(*map(_finite_array, (x, y), names))
+    with np.errstate(over="ignore"):
         return _scalar_or_array(kernel, q, x, np.atleast_1d(y))
 
 
-def _finite_array(values: np.ndarray, name: str) -> np.ndarray:
+def _finite_array(values, name: str) -> np.ndarray:
+    values = _float_array(values, name)
     bad = ~np.isfinite(values)
     if bad.any():
         _finite(values[bad][0], name)
@@ -349,49 +352,42 @@ def exp_q_polar(q, y):
     DomainError.  The base 1 + i*q*y never meets the branch cut, and
     exp_q(-i*y) is the conjugate of exp_q(i*y): (log_mod, -angle)."""
     q = coupling_value(q)
-    y = np.asarray(y, dtype=float)
+    y = _float_array(y, "y")
     if not np.isfinite(y).all():
         raise DomainError("y must be finite")
-    log_mod, angle = _log_polar(q, np.atleast_1d(y))
-    if y.ndim == 0:
-        return float(log_mod[0]), float(angle[0])
-    return log_mod, angle
+    pair = _log_polar(q, np.atleast_1d(y))
+    return tuple(map(float, pair[:, 0]) if y.ndim == 0 else pair)
 
 
-def _log_polar(q: float, y: np.ndarray):
-    """log|exp_q(i*y)| and arg exp_q(i*y) for finite y, from the polar
-    form of 1 + i*q*y."""
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        t = q * y
-        if abs(q) > COUPLING_EPS:
-            return _polar(q, t)
+def _log_polar(q: float, y: np.ndarray) -> np.ndarray:
+    """log|exp_q(i*y)| and arg exp_q(i*y), stacked on a leading axis, from
+    the polar form of 1 + i*q*y; a y that is not finite is the caller's
+    to reject."""
+    with np.errstate(invalid="ignore"):
         # i y (1 - i q y/2): real part q y^2/2, imaginary part y
-        log_mod, angle = 0.5 * q * y * y, y.copy()
-        far = np.abs(t) > _BAND_QZ
-        if far.any():
-            exact_log_mod, exact_angle = _polar(q, t)
-            log_mod = np.where(far, exact_log_mod, log_mod)
-            angle = np.where(far, exact_angle, angle)
-    return log_mod, angle
+        return _banded(q, y, lambda y: np.stack((0.5 * q * y * y, y)),
+                       lambda y: _polar(q, q * y))
 
 
-def _polar(q: float, t: np.ndarray):
-    """log|exp_q(i*y)| and arg exp_q(i*y) from t = q*y, for q != 0."""
+def _polar(q: float, t: np.ndarray) -> np.ndarray:
+    """log|exp_q(i*y)| and arg exp_q(i*y) from t = q*y, for q != 0,
+    stacked on a leading axis."""
+    # in place: these arrays can be large, and fresh ones cost page faults
+    log_sq, angle = out = np.empty((2,) + t.shape)
     # log |1 + i t|^2 is log1p(t^2), accurate near t = 0, except where the
     # square overflows, past |t| ~ 1.3e154; there it is 2 log hypot(1, t).
     # The overflow flag of t*t, not a pass over the array, tells
     try:
         with np.errstate(over="raise"):
-            log_sq = np.log1p(t * t)
+            np.log1p(t * t, out=log_sq)
     except FloatingPointError:
-        log_sq = np.log1p(t * t)
+        np.log1p(t * t, out=log_sq)
         far = log_sq == math.inf
-        log_sq = np.where(far, 2.0 * np.log(np.hypot(1.0, t)), log_sq)
-    angle = np.arctan(t)
-    # in place: these arrays can be large, and fresh ones cost page faults
+        log_sq[far] = 2.0 * np.log(np.hypot(1.0, t[far]))
+    np.arctan(t, out=angle)
     log_sq /= 2.0 * q
     angle /= q
-    return log_sq, angle
+    return out
 
 
 def sin_q(q, x):
@@ -434,19 +430,7 @@ def dn_exp_q(q, a, n, x):
     exponential exp_{q/(1-n*q)}((1 - n*q)*a*x).  Couplings q = 1/i for
     i <= n are poles of the rescaling.
     """
-    q = coupling_value(q)
-    a = _finite(a, "a")
-    n = _integer(n, "order n", 1)
-    with np.errstate(over="ignore"):
-        coeff = float(np.float64(a) ** n)
-    for i in range(1, n + 1):
-        if abs(1.0 - i * q) <= _POLE_TOL * i:
-            raise PoleError(f"coupling at derivative pole q = 1/{i}")
-        coeff *= 1.0 - (i - 1) * q
-    if not math.isfinite(coeff):
-        raise NumericsError(f"the order-{n} coefficient leaves the float range")
-    scale = 1.0 - n * q
-    return coeff * exp_q(q / scale, scale * a * x)
+    return _calculus(q, a, n, x, -1)
 
 
 def intn_exp_q(q, a, n, x):
@@ -457,19 +441,31 @@ def intn_exp_q(q, a, n, x):
     exp_{q/(1+n*q)}((1 + n*q)*a*x).  Couplings q = -1/i for i <= n are
     poles; a must be nonzero.
     """
+    return _calculus(q, a, n, x, 1)
+
+
+def _calculus(q, a, n, x, s: int):
+    """The closed form of dn_exp_q (s = -1) and intn_exp_q (s = 1), whose
+    poles are the couplings where 1 + s*i*q vanishes; NumericsError where
+    the coefficient is inf, or is 0 where exp_q is inf."""
     q = coupling_value(q)
     a = _finite(a, "a")
     n = _integer(n, "order n", 1)
-    if a == 0.0:
+    if s > 0 and a == 0.0:
         raise DomainError("intn_exp_q requires a != 0")
     with np.errstate(over="ignore"):
-        coeff = float(np.float64(a) ** -n)
+        coeff = float(np.float64(a) ** (-s * n))
     for i in range(1, n + 1):
-        den = 1.0 + i * q
+        den = 1.0 + s * i * q
         if abs(den) <= _POLE_TOL * i:
-            raise PoleError(f"coupling at antiderivative pole q = -1/{i}")
-        coeff /= den
+            kind = "anti" if s > 0 else ""
+            raise PoleError(f"coupling at {kind}derivative pole q = {-s}/{i}")
+        coeff = coeff / den if s > 0 else coeff * (1.0 - (i - 1) * q)
     if not math.isfinite(coeff):
         raise NumericsError(f"the order-{n} coefficient leaves the float range")
-    scale = 1.0 + n * q
-    return coeff * exp_q(q / scale, scale * a * x)
+    scale = 1.0 + s * n * q
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = coeff * exp_q(q / scale, scale * a * _float_array(x, "x"))
+    if np.isnan(out).any():
+        raise NumericsError(f"the order-{n} coefficient underflows where exp_q is inf")
+    return out

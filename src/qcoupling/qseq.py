@@ -35,7 +35,10 @@ _POLE_TOL = 1e-14
 
 
 def _finite(value, name: str) -> float:
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        raise DomainError(f"{name} is past the float range") from None
     if not math.isfinite(value):
         raise DomainError(f"{name} must be finite, got {value!r}")
     return value

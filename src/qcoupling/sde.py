@@ -44,8 +44,7 @@ class StationaryPrediction(NamedTuple):
 
 def _check_model_params(M, tau, A):
     for name, val in (("M", M), ("tau", tau), ("A", A)):
-        if not math.isfinite(val):
-            raise DomainError(f"{name} must be finite, got {val}")
+        _finite(val, name)
     if M < 0.0:
         raise DomainError(f"M must be >= 0, got {M}")
     if tau <= 0.0:

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import math
@@ -6,9 +7,12 @@ import shlex
 import subprocess
 import sys
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qcoupling
 from qcoupling import cli, datasets, qdist, qseq, sde
@@ -177,6 +181,36 @@ class TestExitCodes:
         code, _, err = run_cli(["dist", "cq", "--q", "-2.5"], capsys)
         assert code == 1
         assert "DomainError" in err
+
+
+# magnitudes log-uniform over [1e-320, 1e308], either sign; 0, +-inf and nan
+_eval_floats = st.one_of(
+    st.sampled_from([0.0, math.inf, -math.inf, math.nan]),
+    st.builds(lambda sign, e: sign * 10.0 ** e, st.sampled_from([1.0, -1.0]),
+              st.floats(min_value=-320.0, max_value=308.0)))
+
+
+@given(fn=st.sampled_from(sorted(cli._UNARY + cli._BINARY + cli._CALCULUS)),
+       q=_eval_floats, x=_eval_floats, y=_eval_floats, a=_eval_floats,
+       n=st.integers(min_value=1, max_value=3))
+@example(fn="dn_exp_q", q=-8.786577955100798e+133, x=3.0871996106979176e+300,
+         y=0.0, a=2.7921561374406465e-278, n=3)
+@example(fn="intn_exp_q", q=3.205587220852264e-107, x=2.1658917264676225e-91,
+         y=0.0, a=1.3274711523023983e+120, n=3)
+@settings(max_examples=1000, deadline=None)
+def test_eval_exits_cleanly_on_any_float(fn, q, x, y, a, n):
+    # every eval prints a value that is not nan, or fails with a typed
+    # error or a usage error, and warns of nothing
+    argv = ["eval", fn, f"--q={q!r}", f"--x={x!r}", f"--y={y!r}", f"--a={a!r}",
+            f"--n={n}"]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = cli.run(argv)
+    assert code in (0, 1, 2)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "nan" not in out.getvalue()
 
 
 class TestScalarCommands:

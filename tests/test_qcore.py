@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qcoupling import qcore
+from qcoupling import qcore, qdist, qseq, sde
 from qcoupling.errors import (
     CouplingError,
     DomainError,
@@ -221,6 +221,48 @@ def _prod_div_condition(q, x, y, p):
     return bracket / (abs(q) * math.exp(q * math.log(x)))
 
 
+_EPS = np.finfo(float).eps
+_FLOAT_MAX = mp.mpf(np.finfo(float).max)
+_LEAST = mp.mpf(2) ** -1074
+
+
+def log_uniform(lo, hi):
+    """Magnitudes log-uniform over [10^lo, 10^hi], either sign, and 0."""
+    return st.one_of(st.just(0.0), st.builds(
+        lambda sign, e: sign * 10.0 ** e, st.sampled_from([1.0, -1.0]),
+        st.floats(min_value=lo, max_value=hi)))
+
+
+wide_floats = log_uniform(-320.0, 308.0)
+
+
+@st.composite
+def add_sub_operands(draw):
+    """(q, x, y) from wide_floats; in a quarter of the draws q*y is near
+    -1, in another quarter q*x is."""
+    q, x, y = draw(wide_floats), draw(wide_floats), draw(wide_floats)
+    near = draw(st.sampled_from(["none", "none", "qy", "qx"]))
+    if near != "none":
+        # 1 + q*v, for v = y or x, is 0 or a relative offset down to 1e-18
+        offset = draw(log_uniform(-18.0, -1.0))
+        v = y if near == "qy" else x
+        if abs(v) >= 1e-307:
+            q = -(1.0 + offset) / v
+    return q, x, y
+
+
+def _assert_within(got, want, bound):
+    """got within bound + 2^-1074 of the exact want, or inf of want's sign
+    where want is past the float range by more than that."""
+    bound += _LEAST
+    if math.isinf(got):
+        assert mp.sign(want) == math.copysign(1.0, got)
+        assert abs(want) + bound >= _FLOAT_MAX
+    else:
+        assert abs(want) - bound <= _FLOAT_MAX
+        assert abs(got - want) <= bound
+
+
 class TestDeformedArithmetic:
     @given(q=couplings, x=small_reals, y=small_reals)
     @settings(max_examples=300)
@@ -360,6 +402,35 @@ class TestDeformedArithmetic:
                     else (mx - my) / (1 + mq * my))
             # half a unit in the last place, subnormal results included
             assert abs(f(q, x, y) - want) <= 1.2e-16 * abs(want) + 2.5e-324
+
+    @given(qxy=add_sub_operands())
+    @example(qxy=(-1.0, 1e300, 1.0))
+    @example(qxy=(-1e10, 1.7976931348623157e308, 1.2345678901e-10))
+    @settings(max_examples=1000, deadline=None)
+    def test_add_sub_within_their_bounds_against_mpmath(self, qxy):
+        # x + y + qxy within 2 eps (|x| + |y| + |qxy|), and (x - y)/(1 + qy)
+        # within eps |r| (3 + 2 |qy|/|1 + qy|), both plus the least
+        # subnormal; an exact value past the float range is inf of its sign
+        q, x, y = qxy
+        with mp.workprec(3000):
+            mq, mx, my = mp.mpf(q), mp.mpf(x), mp.mpf(y)
+            qy = mq * my
+            want = mx + my + qy * mx
+            _assert_within(q_add(q, x, y), want,
+                           2 * _EPS * (abs(mx) + abs(my) + abs(qy * mx)))
+            if abs(1 + qy) <= 2 * _EPS * abs(qy):
+                # 1 + q*y may round to 0: no value, or any within its bound
+                try:
+                    q_sub(q, x, y)
+                except SingularDivisorError:
+                    return
+            want = (mx - my) / (1 + qy)
+            _assert_within(q_sub(q, x, y), want,
+                           _EPS * abs(want) * (3 + 2 * abs(qy) / abs(1 + qy)))
+
+    def test_q_add_cancels_to_the_small_term(self):
+        # x (1 + q y) = 0 exactly, so all that is left is y
+        assert q_add(-1.0, 1e300, 1.0) == 1.0
 
     @pytest.mark.parametrize("f, q, x, y, want", [
         (q_prod, 2.0, 1e300, 2.0, 1e300),
@@ -617,6 +688,19 @@ class TestClosedFormCalculus:
         # q=1, a=1, n=1: (1/2)(1+x)^2 evaluated at x=0
         assert intn_exp_q(1.0, 1.0, 1, 0.0) == pytest.approx(0.5, rel=1e-14)
 
+    @pytest.mark.parametrize("fn, q, a, x", [
+        (dn_exp_q, -8.786577955100798e+133, 2.7921561374406465e-278,
+         3.0871996106979176e+300),
+        (intn_exp_q, 3.205587220852264e-107, 1.3274711523023983e+120,
+         2.1658917264676225e-91),
+    ], ids=["dn", "intn"])
+    def test_coefficient_underflow_times_inf_is_numerics_error(self, fn, q, a, x):
+        # a^+-n underflows to 0 while exp_q is inf: the product has no value
+        for arg in (x, [0.0, x]):
+            with pytest.raises(NumericsError,
+                               match="coefficient underflows where exp_q is inf"):
+                fn(q, a, 3, arg)
+
     def test_poles(self):
         with pytest.raises(PoleError):
             dn_exp_q(0.5, 1.0, 2, 0.1)  # q = 1/2 pole at i=2
@@ -643,6 +727,26 @@ class TestClosedFormCalculus:
             h = 1e-6 * (1.0 + abs(t))
             dy = (exp_q(q, -(t + h)) - exp_q(q, -(t - h))) / (2 * h)
             assert rel_close(dy, -(y ** (1.0 - q)), 1e-6)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: exp_q(10**400, 1.0), "coupling q"),
+    (lambda: exp_q(0.5, 10**400), "x"),
+    (lambda: exp_q(0.5, [1.0, -10**400]), "x"),
+    (lambda: exp_q_polar(0.5, 10**400), "y"),
+    (lambda: qseq.conj_hat(-10**400), "coupling q"),
+    (lambda: qseq.c_q(10**400), "coupling q"),
+    (lambda: qdist.QGaussian(0.5, 0.0, 10**400), "sigma_sq"),
+    (lambda: q_add(0.5, 1.0, 10**400), "y"),
+    (lambda: q_prod_n(0.5, [2.0, 10**400]), "operand"),
+    (lambda: dn_exp_q(0.5, 10**400, 1, 1.0), "a"),
+    (lambda: dn_exp_q(0.3, 1.0, 1, 10**400), "x"),
+    (lambda: sde.SdeConfig(M=10**400, seed=1), "M"),
+], ids=["exp_q-q", "exp_q-x", "exp_q-array", "polar", "conj_hat", "c_q",
+        "QGaussian", "q_add", "q_prod_n", "dn_exp_q-a", "dn_exp_q-x", "SdeConfig"])
+def test_int_past_the_float_range_is_domain_error(call, name):
+    with pytest.raises(DomainError, match=f"^{name} is past the float range$"):
+        call()
 
 
 class TestCoupling:
