@@ -12,9 +12,19 @@ tree's tracked files (`git diff --numstat <ref> -- src`). Pair i runs
 `bench/run.py --trace 0 --seed FIRST+i` once on each side, and the side
 that runs first alternates from pair to pair. For every workload and
 end-to-end metric of BENCHMARK.json it prints each side's median and
-quartiles, and in how many pairs the change is better (k of N). A run
-that is not correct, or that has failed operations, is reported, and the
-exit status is then 1. Nothing under bench/ is changed.
+quartiles, in how many pairs the change is better (k of N), and a
+verdict against the metric's bound in BENCHMARK.json:
+
+  better      the change wins at least 9 in 10 pairs, and the medians
+              differ by more than the parent's interquartile range
+  worse       the change's median is worse than the parent's by more than
+              bound x the parent's median
+  unresolved  the parent's interquartile range is wider than bound x its
+              median, and not every change run beats every parent run
+  within      otherwise
+
+A run that is not correct, or that has failed operations, is reported,
+and the exit status is then 1. Nothing under bench/ is changed.
 """
 
 import argparse
@@ -65,6 +75,22 @@ def spread(values):
     return q1, q2, q3
 
 
+def verdict(old, new, bound, lower_is_better):
+    """better, worse, unresolved or within: the change's runs new against
+    the parent's runs old, for a metric with this relative bound."""
+    sign = 1.0 if lower_is_better else -1.0
+    old, new = [sign * v for v in old], [sign * v for v in new]
+    wins = sum(b < a for a, b in zip(old, new))
+    (p1, p2, p3), (_, c2, _) = spread(old), spread(new)
+    if wins >= 0.9 * len(old) and p2 - c2 > p3 - p1:
+        return "better"
+    if c2 - p2 > bound * abs(p2):
+        return "worse"
+    if p3 - p1 > bound * abs(p2) and not max(new) < min(old):
+        return "unresolved"
+    return "within"
+
+
 def main():
     manifest = json.loads((ROOT / "BENCHMARK.json").read_text())
     names = [w["name"] for w in manifest["workloads"]]
@@ -79,6 +105,7 @@ def main():
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
     lower = {m["name"]: m["better"] == "lower" for m in manifest["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in manifest["end_to_end"]}
 
     print(f"net src/ lines against {args.parent}: "
           f"{net_src_lines(args.parent):+d}", flush=True)
@@ -108,7 +135,8 @@ def main():
                 ratio = c2 / p2 if p2 else float("nan")
                 print(f"{workload:16s} {m:12s} parent {p2:.4g} [{p1:.4g}, "
                       f"{p3:.4g}]  change {c2:.4g} [{c1:.4g}, {c3:.4g}]  "
-                      f"ratio {ratio:.3f}  wins {wins} of {args.pairs}")
+                      f"ratio {ratio:.3f}  wins {wins} of {args.pairs}  "
+                      f"{verdict(old, new, bounds[m], lower_is_better)}")
     return 0 if ok else 1
 
 

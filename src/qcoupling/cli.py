@@ -11,10 +11,11 @@ significant digits and is deterministic given arguments and seed.
 """
 
 import argparse
+import math
 import os
 import sys
 
-from .errors import CouplingError
+from .errors import CouplingError, DomainError
 
 # Each handler imports the modules it runs, so a cold process compiles
 # only those: seq and dist cq load no numpy.
@@ -179,9 +180,13 @@ def _cmd_transform(args, parser):
 
     from . import qft
     from .datasets import Dataset
+    from .qseq import _finite
 
     if args.n < 1:
         parser.error("--n must be >= 1")
+    span = _finite(args.w_max, "--w-max") - _finite(args.w_min, "--w-min")
+    if not math.isfinite(span):
+        raise DomainError(f"--w-max - --w-min = {span} is past the float range")
     ws = np.linspace(args.w_min, args.w_max, args.n)
     meta = {"family": args.family, "q": args.q, "method": args.method,
             "conjugate": bool(args.conjugate)}

@@ -463,9 +463,30 @@ def _calculus(q, a, n, x, s: int):
         coeff = coeff / den if s > 0 else coeff * (1.0 - (i - 1) * q)
     if not math.isfinite(coeff):
         raise NumericsError(f"the order-{n} coefficient leaves the float range")
-    scale = 1.0 + s * n * q
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = coeff * exp_q(q / scale, scale * a * _float_array(x, "x"))
+    out = _scalar_or_array(_rescaled_exp_q, q, x, a, 1.0 + s * n * q)
+    with np.errstate(invalid="ignore"):
+        out = coeff * out
     if np.isnan(out).any():
         raise NumericsError(f"the order-{n} coefficient underflows where exp_q is inf")
+    return out
+
+
+def _rescaled_exp_q(q: float, x: np.ndarray, a: float, scale: float):
+    """exp_{q/scale}(scale*a*x) at every finite x.  Where scale*a*x
+    overflows, 1 + (q/scale)(scale*a*x) = 1 + q*a*x: if that is large,
+    the value is exp(log(1 + q*a*x) scale/q), else exp_q's limit, inf at
+    +inf and 0 at -inf."""
+    if not np.isfinite(x).all():
+        raise DomainError("x must be finite")
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = scale * a * x
+        z[x == 0.0] = 0.0  # scale*a may overflow, and inf * 0 is nan
+        out = np.where(z > 0.0, np.inf, 0.0)
+        inside = np.isfinite(z)
+        out[inside] = exp_q(q / scale, z[inside])
+        big = ~inside & (q * a * x > 0.0)
+        if big.any():
+            log_qax = (math.log(abs(q)) + math.log(abs(a))
+                       + np.log(np.abs(x[big])))
+            out[big] = np.exp(np.logaddexp(0.0, log_qax) * (scale / q))
     return out

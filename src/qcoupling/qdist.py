@@ -372,17 +372,11 @@ def sample_qgaussian(dist: QFamily, n: int, seed=None) -> np.ndarray:
     k = 0.0 if abs(q) <= COUPLING_EPS else -conj_hat(q)
     scale, mu = math.sqrt(dist.sigma_sq), dist.mu
     out = np.empty(n)
-    count = -(-n // _chunks.CHUNK)
-    # two chunks per thread: with one, the caller stalls on chunk j
-    window = min(count, 2 * _chunks.cores())
-    # the cosine of each chunk in flight, allocated here: what a worker
-    # thread allocates stays resident in that thread's malloc arena
-    scratch = np.empty((window, min(n, _chunks.CHUNK)))
 
-    def fill(j, rng):
+    def fill(j, rng, buf):
         """Chunk j into out; returns its non-finite count."""
         o = out[j * _chunks.CHUNK:(j + 1) * _chunks.CHUNK]
-        u2 = scratch[j % window, :o.size]
+        u2 = buf[:o.size]
         rng.random(out=u2)
         _cos_two_pi(u2, o)
         rng.random(out=o)
@@ -393,7 +387,8 @@ def sample_qgaussian(dist: QFamily, n: int, seed=None) -> np.ndarray:
             o += mu
         return o.size - np.count_nonzero(np.isfinite(o))
 
-    bad = sum(_chunks.in_order(fill, seed, count, window))
+    bad = sum(_chunks.in_order(fill, seed, -(-n // _chunks.CHUNK),
+                               (min(n, _chunks.CHUNK),)))
     if bad:
         raise NumericsError(
             f"{bad} of {n} draws at coupling {q} exceed the float range")

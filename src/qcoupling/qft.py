@@ -45,7 +45,8 @@ from ._quadrature import _EPS, _X_END, cosine_quad, line_quad
 from .errors import DomainError, NumericsError, PoleError, UnsupportedInputError
 from .qcore import _log_polar, exp_q, exp_q_neg_power, ln_q, sinc_q
 from .qdist import DensityGrid, QFamily
-from .qseq import COUPLING_EPS, c_q, conj_hat, conj_tilde, coupling_value, z_n
+from .qseq import (_POLE_TOL, COUPLING_EPS, c_q, conj_hat, conj_tilde,
+                   coupling_value, z_n)
 
 _MATCH_TOL = 1e-9
 
@@ -274,6 +275,10 @@ def _gaussian_hat_numeric(shape: QFamily, q: float, ws: np.ndarray):
             f"coupling {shape.q} must equal the transform coupling {q}"
         )
     qh = conj_hat(q)
+    if 2.0 + qh <= _POLE_TOL:
+        raise NumericsError(
+            f"transform coupling {q} conjugates to {qh}, within {_POLE_TOL:g} "
+            "of the pole at -2 that the q > 0 route passes through")
     hat_vals, hat_err = _direct_numeric(replace(shape, q=qh), qh, ws)
     # both members' closed-form parameters carry the values across
     form = qft_qgaussian_closed(shape.a, shape.beta, q)
@@ -366,9 +371,13 @@ def qft_uniform_closed(q, w):
         raise DomainError(f"coupling {q} <= -2 is outside the domain")
     if abs(1.0 + q) <= 1e-12:
         raise PoleError("uniform closed form has a pole at coupling -1")
+    w = np.asarray(w, dtype=float)
+    if not np.isfinite(w).all():
+        raise DomainError("w must be finite")
     with np.errstate(over="ignore"):
         arg_scale = _in_range((1.0 + q) * np.float64(2.0) ** q, "argument scale")
-    return sinc_q(z_n(q, 2), arg_scale * np.asarray(w, dtype=float))
+        arg = _in_range(arg_scale * w, "the sinc argument (1 + q) 2^q w")
+    return sinc_q(z_n(q, 2), arg)
 
 
 def _conjugate_coupling(q) -> float:

@@ -32,8 +32,6 @@ from . import _chunks, qdist
 from .qseq import _finite, _integer
 
 _BLOWUP = 1.0e12
-# Noise values held at once, all chunk slots together, whatever the path count
-_NOISE_VALUES = 1 << 21
 
 
 class StationaryPrediction(NamedTuple):
@@ -147,8 +145,8 @@ def simulate(cfg):
     float range, as x (1 + d) + sqrt((M/A) x^2 + 1) (a N).
     The noise, one normal per path and step, comes from the _chunks
     engine in chunks of max(1, min(steps, CHUNK // n_paths)) steps, drawn
-    ahead of the stepping thread into a ring of _NOISE_VALUES values; the
-    samples depend on the seed and the config alone.
+    ahead of the stepping thread into the engine's ring; the samples
+    depend on the seed and the config alone.
     Raises InstabilityError if any path exceeds |X| = 1e12, naming the
     first step where one does; |X| is tested at the end of each chunk,
     so a path that passes 1e12 and returns within a chunk is not seen.
@@ -172,19 +170,15 @@ def simulate(cfg):
 
     rows = max(1, min(steps, _chunks.CHUNK // n))
     chunks = -(-steps // rows)
-    slots = min(chunks, max(2, _NOISE_VALUES // (rows * n)))
-    # allocated after the outputs: before them it left 0.6 MB more
-    # resident over repeated runs
-    ring = np.empty((slots, rows, n))
 
-    def draw(j, rng):
-        """Chunk j of the noise, unscaled, in its slot of the ring."""
-        z = ring[j % slots, :min(rows, steps - j * rows)]
+    def draw(j, rng, buf):
+        """Chunk j of the noise, unscaled, in buf."""
+        z = buf[:min(rows, steps - j * rows)]
         rng.standard_normal(out=z)
         return z
 
     step = 0
-    with closing(_chunks.in_order(draw, cfg.seed, chunks, slots)) as noise, \
+    with closing(_chunks.in_order(draw, cfg.seed, chunks, (rows, n))) as noise, \
             np.errstate(over="ignore", invalid="ignore"):
         for j, z in enumerate(noise):
             # scaled here: on a worker the product would take the GIL

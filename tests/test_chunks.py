@@ -1,5 +1,7 @@
+import math
 import sys
 import threading
+import tracemalloc
 from contextlib import closing
 
 import numpy as np
@@ -24,20 +26,30 @@ def short_switch():
     sys.setswitchinterval(interval)
 
 
-@pytest.mark.parametrize("cores", [1, 2, 8])
-@pytest.mark.parametrize("window", [1, 2, 4])
-def test_results_in_order_with_disjoint_slots(monkeypatch, short_switch,
-                                              cores, window):
-    monkeypatch.setattr(_chunks, "cores", lambda: cores)
-    lock, live, clashes = threading.Lock(), set(), []
+def _address(buf):
+    return buf.__array_interface__["data"][0]
 
-    def fn(j, rng):
-        # slot j % window is live from the start of fn(j) until the
-        # caller is done with its result
+
+@pytest.mark.parametrize("cores", [1, 2, 8])
+@pytest.mark.parametrize("ring", [1, 2, 4, 4096])
+def test_results_in_order_with_disjoint_slots(monkeypatch, short_switch,
+                                              cores, ring):
+    # slots of RING_VALUES // ring values, ring of which fill the cap: at
+    # ring 1 the two-slot floor passes the cap, at 2 and 4 the cap binds
+    # on enough cores, and at 4096 two slots per thread bind
+    monkeypatch.setattr(_chunks, "cores", lambda: cores)
+    slot = (_chunks.RING_VALUES // ring,)
+    window = min(2 * cores, max(2, ring))
+    lock, live, clashes = threading.Lock(), {}, []
+
+    def fn(j, rng, buf):
+        # buf is live from the start of fn(j) until the caller is done
+        # with its result
+        assert buf.shape == slot
         with lock:
-            if j % window in live:
-                clashes.append(j)
-            live.add(j % window)
+            clashes.extend(j for other in live.values()
+                           if np.shares_memory(buf, other))
+            live[j] = buf
         value = rng.random()
         rng.standard_normal(1000)
         return j, value
@@ -45,13 +57,40 @@ def test_results_in_order_with_disjoint_slots(monkeypatch, short_switch,
     before = threading.active_count()
     for count in sorted({1, window - 1, window, window + 1, 5 * window + 3}):
         taken = []
-        for j, value in _chunks.in_order(fn, 7, count, window):
+        for j, value in _chunks.in_order(fn, 7, count, slot):
             taken.append((j, value))
             with lock:
-                live.discard(j % window)
+                del live[j]
         assert taken == [(j, _stream_value(7, j)) for j in range(count)]
         assert clashes == []
         assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("cores", [1, 2, 8])
+@pytest.mark.parametrize("slot", [(3, 5), (1 << 18,), (1 << 20, 3)],
+                         ids=["small", "on-cap", "past-cap"])
+def test_ring_stays_within_its_bounds(monkeypatch, cores, slot):
+    # at most 2 cores slots, and at most RING_VALUES values unless two
+    # slots alone are more: the distinct buffers handed out, and what the
+    # run allocates, say so
+    monkeypatch.setattr(_chunks, "cores", lambda: cores)
+    values = math.prod(slot)
+    # a first run imports the thread pool, which tracemalloc would count
+    list(_chunks.in_order(lambda j, rng, buf: j, 3, 4, (1,)))
+    tracemalloc.start()
+    try:
+        seen = set(_chunks.in_order(lambda j, rng, buf: _address(buf), 3,
+                                    40, slot))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    slots = len(seen)
+    assert slots == min(2 * cores, max(2, _chunks.RING_VALUES // values))
+    assert slots <= 2 * cores
+    assert slots * values <= max(2 * values, _chunks.RING_VALUES)
+    # 1 MiB for threads and futures, less than one slot of the large
+    # cases, so a ring larger than the buffers handed out shows
+    assert peak <= 8 * slots * values + 2**20
 
 
 @pytest.mark.parametrize("cores", [1, 4])
@@ -61,7 +100,7 @@ def test_failure_in_fn_reaches_the_caller(monkeypatch, cores):
     monkeypatch.setattr(_chunks, "cores", lambda: cores)
     failed = threading.Event()
 
-    def fn(j, rng):
+    def fn(j, rng, buf):
         on_worker = threading.current_thread() is not threading.main_thread()
         if on_worker or cores == 1:
             failed.set()
@@ -71,7 +110,7 @@ def test_failure_in_fn_reaches_the_caller(monkeypatch, cores):
 
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="call .* failed"):
-        for _ in _chunks.in_order(fn, 1, 20, 4):
+        for _ in _chunks.in_order(fn, 1, 20, (4,)):
             pass
     assert threading.active_count() == before
 
@@ -81,20 +120,21 @@ def test_failure_in_the_callers_loop_leaves_no_worker(monkeypatch, cores):
     monkeypatch.setattr(_chunks, "cores", lambda: cores)
     calls = []
 
-    def fn(j, rng):
+    def fn(j, rng, buf):
         calls.append(j)
         rng.standard_normal(10_000)
         return j
 
     before = threading.active_count()
     with pytest.raises(ValueError, match="stop at 2"):
-        with closing(_chunks.in_order(fn, 1, 50, 4)) as results:
+        with closing(_chunks.in_order(fn, 1, 50, (4,))) as results:
             for j in results:
                 if j == 2:
                     raise ValueError("stop at 2")
     assert threading.active_count() == before
-    # no call past the window of the last one taken ever started
-    assert max(calls) <= 2 + 4 - 1
+    # no call past the window of the last one taken ever started: two
+    # slots per thread
+    assert max(calls) <= 2 + 2 * cores - 1
 
 
 def test_caller_runs_the_calls_no_worker_started(monkeypatch):
@@ -102,7 +142,7 @@ def test_caller_runs_the_calls_no_worker_started(monkeypatch):
     monkeypatch.setattr(_chunks, "cores", lambda: 2)
     release, on_main, waits = threading.Event(), [], []
 
-    def fn(j, rng):
+    def fn(j, rng, buf):
         if threading.current_thread() is threading.main_thread():
             on_main.append(j)
             if len(on_main) == 3:
@@ -111,5 +151,5 @@ def test_caller_runs_the_calls_no_worker_started(monkeypatch):
             waits.append(release.wait(2))
         return j
 
-    assert list(_chunks.in_order(fn, 1, 4, 4)) == [0, 1, 2, 3]
+    assert list(_chunks.in_order(fn, 1, 4, (4,))) == [0, 1, 2, 3]
     assert len(on_main) >= 3 and all(waits)

@@ -190,19 +190,9 @@ _eval_floats = st.one_of(
               st.floats(min_value=-320.0, max_value=308.0)))
 
 
-@given(fn=st.sampled_from(sorted(cli._UNARY + cli._BINARY + cli._CALCULUS)),
-       q=_eval_floats, x=_eval_floats, y=_eval_floats, a=_eval_floats,
-       n=st.integers(min_value=1, max_value=3))
-@example(fn="dn_exp_q", q=-8.786577955100798e+133, x=3.0871996106979176e+300,
-         y=0.0, a=2.7921561374406465e-278, n=3)
-@example(fn="intn_exp_q", q=3.205587220852264e-107, x=2.1658917264676225e-91,
-         y=0.0, a=1.3274711523023983e+120, n=3)
-@settings(max_examples=1000, deadline=None)
-def test_eval_exits_cleanly_on_any_float(fn, q, x, y, a, n):
-    # every eval prints a value that is not nan, or fails with a typed
-    # error or a usage error, and warns of nothing
-    argv = ["eval", fn, f"--q={q!r}", f"--x={x!r}", f"--y={y!r}", f"--a={a!r}",
-            f"--n={n}"]
+def _exits_cleanly(argv):
+    # the command prints no nan, or fails with a typed error or a usage
+    # error, and warns of nothing
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -211,6 +201,62 @@ def test_eval_exits_cleanly_on_any_float(fn, q, x, y, a, n):
     assert code in (0, 1, 2)
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert "nan" not in out.getvalue()
+
+
+@given(fn=st.sampled_from(sorted(cli._UNARY + cli._BINARY + cli._CALCULUS)),
+       q=_eval_floats, x=_eval_floats, y=_eval_floats, a=_eval_floats,
+       n=st.integers(min_value=1, max_value=3))
+@example(fn="dn_exp_q", q=-8.786577955100798e+133, x=3.0871996106979176e+300,
+         y=0.0, a=2.7921561374406465e-278, n=3)
+@example(fn="intn_exp_q", q=3.205587220852264e-107, x=2.1658917264676225e-91,
+         y=0.0, a=1.3274711523023983e+120, n=3)
+@example(fn="dn_exp_q", q=0.25, x=1e300, y=0.0, a=1e300, n=1)
+@example(fn="intn_exp_q", q=-0.25, x=-1e300, y=0.0, a=1e300, n=1)
+@settings(max_examples=1000, deadline=None)
+def test_eval_exits_cleanly_on_any_float(fn, q, x, y, a, n):
+    _exits_cleanly(["eval", fn, f"--q={q!r}", f"--x={x!r}", f"--y={y!r}",
+                    f"--a={a!r}", f"--n={n}"])
+
+
+@given(name=st.sampled_from(sorted(cli._SEQ_MAPS) + ["z"]), q=_eval_floats,
+       alpha=_eval_floats,
+       n=st.one_of(st.integers(-4, 4), st.integers(-10**400, 10**400)))
+@example(name="z", q=1e3, alpha=2.0, n=10**400)
+@settings(max_examples=200, deadline=None)
+def test_seq_exits_cleanly_on_any_float(name, q, alpha, n):
+    _exits_cleanly(["seq", name, f"--q={q!r}", f"--alpha={alpha!r}",
+                    f"--n={n}"])
+
+
+@given(what=st.sampled_from(["cq", "pdf"]), q=_eval_floats, x=_eval_floats,
+       mu=_eval_floats, sigma_sq=_eval_floats)
+@settings(max_examples=200, deadline=None)
+def test_dist_exits_cleanly_on_any_float(what, q, x, mu, sigma_sq):
+    _exits_cleanly(["dist", what, f"--q={q!r}", f"--x={x!r}", f"--mu={mu!r}",
+                    f"--sigma-sq={sigma_sq!r}"])
+
+
+@given(family=st.sampled_from(["gaussian", "uniform"]),
+       conjugate=st.booleans(), q=_eval_floats, a=_eval_floats,
+       beta=_eval_floats, w_min=_eval_floats, w_max=_eval_floats,
+       n=st.integers(min_value=1, max_value=5))
+@example(family="uniform", conjugate=False, q=0.5, a=1.0, beta=1.0,
+         w_min=math.inf, w_max=5.0, n=3)
+@example(family="uniform", conjugate=False, q=0.5, a=1.0, beta=1.0,
+         w_min=-5.0, w_max=math.nan, n=3)
+@example(family="uniform", conjugate=False, q=0.5, a=1.0, beta=1.0,
+         w_min=-1e308, w_max=1e308, n=3)
+@example(family="uniform", conjugate=False, q=1000.0, a=1.0, beta=1.0,
+         w_min=0.0, w_max=1e10, n=3)
+@example(family="gaussian", conjugate=True, q=0.5, a=1.0, beta=1.0,
+         w_min=-1e308, w_max=1e308, n=3)
+@settings(max_examples=200, deadline=None)
+def test_transform_exits_cleanly_on_any_float(family, conjugate, q, a, beta,
+                                              w_min, w_max, n):
+    _exits_cleanly(["transform", family, f"--q={q!r}", f"--a={a!r}",
+                    f"--beta={beta!r}", f"--w-min={w_min!r}",
+                    f"--w-max={w_max!r}", f"--n={n}", "--method=closed",
+                    *(["--conjugate"] if conjugate else [])])
 
 
 class TestScalarCommands:
@@ -228,6 +274,14 @@ class TestScalarCommands:
             ["seq", "z", "--q", "0.5", "--n", "2", "--alpha", "2"], capsys)
         assert code == 0
         assert float(out) == pytest.approx(qseq.z_n(0.5, 2), rel=1e-12)
+
+    @pytest.mark.parametrize("args, want", [
+        (["dn_exp_q", "--q", "0.25", "--a", "1e300", "--x", "1e300"], "inf"),
+        (["intn_exp_q", "--q=-0.25", "--a", "1e300", "--x=-1e300"], "0"),
+    ], ids=["dn", "intn"])
+    def test_eval_calculus_past_the_float_range(self, capsys, args, want):
+        # a*x overflows for a finite x: exp_q's limit, not an error on x
+        assert run_cli(["eval", *args], capsys) == (0, want + "\n", "")
 
     def test_eval_calculus(self, capsys):
         code, out, _ = run_cli(
@@ -499,6 +553,27 @@ class TestTransformCommand:
         parsed = json.loads(out)
         assert parsed["meta"]["q_out"] == pytest.approx(-2.0 / 3.0)
         assert parsed["meta"]["est_abs_error"] < 1e-8
+
+    @pytest.mark.parametrize("q", ["1e15", "2e16", "1e300"])
+    def test_numeric_compact_near_the_conjugate_pole(self, capsys, q):
+        code, out, err = run_cli(["transform", "gaussian", "--q", q,
+                                  "--method", "numeric", "--n", "3"], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"NumericsError: transform coupling {float(q)!r} ")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("family", ["uniform", "gaussian"])
+    @pytest.mark.parametrize("bounds, name", [
+        (["--w-min=inf"], "--w-min must be finite"),
+        (["--w-max=nan"], "--w-max must be finite"),
+        (["--w-min=-1e308", "--w-max=1e308"], "--w-max - --w-min = inf"),
+    ], ids=["inf", "nan", "span"])
+    def test_frequency_bounds_must_be_finite(self, capsys, family, bounds,
+                                             name):
+        code, out, err = run_cli(["transform", family, "--q", "0.5", "--n",
+                                  "3", *bounds], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"DomainError: {name}")
 
     def test_conjugate_pole_exit(self, capsys):
         code, _, err = run_cli(

@@ -701,6 +701,31 @@ class TestClosedFormCalculus:
                                match="coefficient underflows where exp_q is inf"):
                 fn(q, a, 3, arg)
 
+    @pytest.mark.parametrize("fn, q, a, x, want", [
+        (dn_exp_q, 0.25, 1e300, 1e300, math.inf),
+        (intn_exp_q, -0.25, 1e300, -1e300, 0.0),
+    ], ids=["dn", "intn"])
+    def test_overflowed_argument_takes_its_limit(self, fn, q, a, x, want):
+        # scale*a*x overflows for a finite x: exp_q at +-inf, whose base
+        # leaves the support, is inf or 0 for every coupling
+        assert fn(q, a, 1, x) == want
+        assert list(fn(q, a, 1, [0.0, x])) == [fn(q, a, 1, 0.0), want]
+
+    @pytest.mark.parametrize("fn, q, s, x", [(dn_exp_q, 5.0, -1, 1.0),
+                                             (intn_exp_q, -3.0, 1, -1.0)],
+                             ids=["dn", "intn"])
+    @pytest.mark.parametrize("size", [1e5, 1e10, 1e50])
+    def test_overflowed_argument_inside_the_support(self, fn, q, s, x, size):
+        # scale*a*x overflows where 1 + q*a*x is large: the value is
+        # finite and taken in logs, here against 50-digit mpmath
+        a, x = 1e300, x * size
+        with mp.workdps(50):
+            mq, scale = mp.mpf(q), 1 + s * mp.mpf(q)
+            want = mp.mpf(a) ** -s * (1 + mq * a * x) ** (scale / mq)
+            want = float(want / scale if s > 0 else want)
+        assert want != 0.0 and math.isfinite(want)
+        assert fn(q, a, 1, x) == pytest.approx(want, rel=1e-11, abs=0.0)
+
     def test_poles(self):
         with pytest.raises(PoleError):
             dn_exp_q(0.5, 1.0, 2, 0.1)  # q = 1/2 pole at i=2

@@ -11,6 +11,7 @@ Key independent oracles:
 
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -119,6 +120,15 @@ class TestClosedUniform:
         assert np.min(qft_uniform_closed(-0.3, ws)) < 0.0
         assert np.min(qft_uniform_closed(-0.4, ws)) >= 0.0
 
+    @pytest.mark.filterwarnings("error")
+    def test_argument_past_the_float_range(self):
+        # (1 + q) 2^q is about 1e304 at q = 1000: times w = 1e10 it
+        # overflows, which is the transform's fault, not w's
+        with pytest.raises(NumericsError, match=r"\(1 \+ q\) 2\^q w leaves"):
+            qft_uniform_closed(1000.0, [0.0, 1e10])
+        with pytest.raises(DomainError, match="^w must be finite$"):
+            qft_uniform_closed(0.5, [0.0, math.nan])
+
     def test_pole(self):
         with pytest.raises(PoleError):
             qft_uniform_closed(-1.0, 1.0)
@@ -225,6 +235,14 @@ class TestNumericGaussian:
         grid = DensityGrid(-8.0, dx, f.value(-8.0 + dx * np.arange(2049)))
         res = qft_numeric(grid, q, ws)
         assert np.all(np.abs(res.values - closed) <= res.errors)
+
+    @pytest.mark.parametrize("q", [1e15, 2e16, 1e300])
+    def test_compact_coupling_near_the_conjugate_pole(self, q):
+        # conj_hat(q) rounds to within the pole tolerance of -2: the error
+        # names the transform coupling, not z_1 or a -2.0 never passed
+        with pytest.raises(NumericsError,
+                           match=f"^transform coupling {re.escape(repr(q))} "):
+            qft_numeric(QGaussianShape(q), q, [0.0, 1.0])
 
     def test_ws_validation(self):
         with pytest.raises(DomainError):

@@ -225,10 +225,10 @@ class TestSimulate:
         assert np.array_equal(sde.simulate(cfg), _reference_samples(cfg))
 
     def test_independent_of_cores_and_ring_size(self, monkeypatch):
-        # 16-step chunks, the last of 12 steps, on 1 to 8 threads and in a
-        # ring of 2 slots or of the whole run; with a short switch
-        # interval a chunk read before its draw ends, or a slot drawn over
-        # before it is stepped, shows as a difference
+        # 16-step chunks, the last of 12 steps, on 1 to 8 threads, with
+        # the engine's cap at 2 slots or at the whole run; with a short
+        # switch interval a chunk read before its draw ends, or a slot
+        # drawn over before it is stepped, shows as a difference
         cfg = sde.SdeConfig(steps=300, n_paths=7, burn_in=20, seed=13)
         monkeypatch.setattr(_chunks, "CHUNK", 16 * cfg.n_paths)
         want = _reference_samples(cfg)
@@ -238,7 +238,8 @@ class TestSimulate:
             for cores in (1, 2, 8):
                 monkeypatch.setattr(_chunks, "cores", lambda cores=cores: cores)
                 for ring in (2 * 16, cfg.steps):
-                    monkeypatch.setattr(sde, "_NOISE_VALUES", ring * cfg.n_paths)
+                    monkeypatch.setattr(_chunks, "RING_VALUES",
+                                        ring * cfg.n_paths)
                     assert np.array_equal(sde.simulate(cfg), want)
         finally:
             sys.setswitchinterval(interval)
@@ -268,8 +269,9 @@ class TestSimulate:
         assert ks_2samp(one, two).pvalue > 1e-3
 
     def test_traced_peak_memory_is_bounded(self):
-        # the two noise blocks hold _NOISE_VALUES values together
-        # whatever the path count; one whole-run block alone is 60 MiB
+        # the engine's ring of noise chunks holds at most
+        # _chunks.RING_VALUES values (16 MiB) whatever the path count; one
+        # whole-run block alone is 60 MiB
         cfg = sde.SdeConfig(n_paths=5000, steps=1500, seed=2)
         tracemalloc.start()
         try:
