@@ -122,6 +122,8 @@ def _tolerance(val):
 def _adaptive(fn, lo, hi, points=None):
     """Integral of fn over [lo, hi], split first at the points inside it;
     returns (value, per-entry error)."""
+    if not hi - lo < math.inf:
+        raise NumericsError(f"integration range [{lo}, {hi}] is past the float range")
     inner = sorted({float(p) for p in points or () if lo < p < hi})
     edges = np.array([lo, *inner, hi], dtype=float)
     a, b = edges[:-1], edges[1:]

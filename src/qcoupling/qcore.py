@@ -51,6 +51,9 @@ _BAND_QZ = math.sqrt(np.finfo(float).eps)
 # exp_q(-beta |x|^alpha) switches to log space past this beta |x|^alpha.
 _LOG_SPACE_ARG = 1e300
 
+# The smallest normal float: below it a product has lost bits
+_TINY = np.finfo(float).tiny
+
 HEAVY_TAIL = "heavy-tail"
 ZERO = "zero"
 COMPACT = "compact"
@@ -147,17 +150,23 @@ def exp_q(q, x):
 def _exp_q(q: float, x: np.ndarray) -> np.ndarray:
     if not np.isfinite(x).all():
         raise DomainError("x must be finite")
-    return _banded(q, x, lambda x: np.exp(x * (1.0 - 0.5 * q * x)),
-                   lambda x: _exp_q_exact(q, q * x))
+    with np.errstate(over="ignore"):
+        return np.exp(_log_exp_q(q, x))
 
 
-def _exp_q_exact(q: float, qx: np.ndarray) -> np.ndarray:
-    """(1 + qx)_+^(1/q) for q != 0 with exp_q's boundary semantics."""
-    out = np.empty_like(qx)
+def _log_exp_q(q: float, x: np.ndarray) -> np.ndarray:
+    """log exp_q(x) at finite x: -inf outside a compact support, inf at
+    the divergent end of a heavy tail."""
+    return _banded(q, x, lambda x: x * (1.0 - 0.5 * q * x),
+                   lambda x: _log_exp_q_exact(q, q * x))
+
+
+def _log_exp_q_exact(q: float, qx: np.ndarray) -> np.ndarray:
+    """log (1 + qx)_+^(1/q) for q != 0 with exp_q's boundary semantics."""
+    out = np.full_like(qx, -np.inf if q > 0.0 else np.inf)
     pos = qx > -1.0
     # log1p keeps the exponent accurate even when 1/q is enormous
-    out[pos] = np.exp(np.log1p(qx[pos]) / q)
-    out[~pos] = 0.0 if q > 0.0 else np.inf
+    out[pos] = np.log1p(qx[pos]) / q
     return out
 
 
@@ -315,7 +324,7 @@ def _exp_q_of_ln_sum(q: float, ops: np.ndarray, signs=1.0) -> np.ndarray:
     e = q * np.log(ops)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         shift = (signs * np.expm1(e)).sum(axis=0)
-        out = _exp_q_exact(q, shift)
+        out = np.exp(_log_exp_q_exact(q, shift))
         far = ~np.isfinite(shift)
         if far.any():
             # the bracket 1 + shift scaled by e^-m, m the largest exponent
@@ -463,30 +472,38 @@ def _calculus(q, a, n, x, s: int):
         coeff = coeff / den if s > 0 else coeff * (1.0 - (i - 1) * q)
     if not math.isfinite(coeff):
         raise NumericsError(f"the order-{n} coefficient leaves the float range")
-    out = _scalar_or_array(_rescaled_exp_q, q, x, a, 1.0 + s * n * q)
-    with np.errstate(invalid="ignore"):
-        out = coeff * out
+    out = _scalar_or_array(_times_rescaled_exp_q, q, x, a, 1.0 + s * n * q,
+                           coeff)
     if np.isnan(out).any():
         raise NumericsError(f"the order-{n} coefficient underflows where exp_q is inf")
     return out
 
 
-def _rescaled_exp_q(q: float, x: np.ndarray, a: float, scale: float):
-    """exp_{q/scale}(scale*a*x) at every finite x.  Where scale*a*x
+def _times_rescaled_exp_q(q: float, x: np.ndarray, a: float, scale: float,
+                          coeff: float):
+    """coeff * exp_{q/scale}(scale*a*x) at every finite x.  Where scale*a*x
     overflows, 1 + (q/scale)(scale*a*x) = 1 + q*a*x: if that is large,
-    the value is exp(log(1 + q*a*x) scale/q), else exp_q's limit, inf at
-    +inf and 0 at -inf."""
+    the log of exp_q is log(1 + q*a*x) scale/q, else exp_q is its limit,
+    inf at +inf and 0 at -inf.  Where exp_q alone leaves the normal range
+    but its log is finite, a coeff in the normal range multiplies it in
+    logs."""
     if not np.isfinite(x).all():
         raise DomainError("x must be finite")
     with np.errstate(over="ignore", invalid="ignore"):
         z = scale * a * x
         z[x == 0.0] = 0.0  # scale*a may overflow, and inf * 0 is nan
-        out = np.where(z > 0.0, np.inf, 0.0)
+        log = np.where(z > 0.0, np.inf, -np.inf)
         inside = np.isfinite(z)
-        out[inside] = exp_q(q / scale, z[inside])
+        log[inside] = _log_exp_q(q / scale, z[inside])
         big = ~inside & (q * a * x > 0.0)
         if big.any():
             log_qax = (math.log(abs(q)) + math.log(abs(a))
                        + np.log(np.abs(x[big])))
-            out[big] = np.exp(np.logaddexp(0.0, log_qax) * (scale / q))
+            log[big] = np.logaddexp(0.0, log_qax) * (scale / q)
+        factor = np.exp(log)
+        out = coeff * factor
+        past = np.isfinite(log) & ((factor < _TINY) | (factor == np.inf))
+        if abs(coeff) >= _TINY and past.any():
+            out[past] = math.copysign(1.0, coeff) * np.exp(
+                math.log(abs(coeff)) + log[past])
     return out

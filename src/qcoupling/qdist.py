@@ -162,9 +162,6 @@ class DensityGrid:
     def xs(self) -> np.ndarray:
         return self.x0 + self.dx * np.arange(self.f.size)
 
-    def mass(self) -> float:
-        return float(np.trapezoid(self.f, dx=self.dx))
-
 
 def _validated_probs(p) -> np.ndarray:
     p = np.asarray(p, dtype=float)
@@ -361,8 +358,8 @@ def sample_qgaussian(dist: QFamily, n: int, seed=None) -> np.ndarray:
     sqrt(-2/k) exp(k ln V / 2), and NumericsError is raised where draws
     pass the float range (near q = -2).
 
-    The draws come in chunks of _chunks.CHUNK, each from its stream in
-    the _chunks engine, which gives the chunk's U2 and then its U1.
+    The draws come in chunks from the _chunks engine, each stream giving
+    its chunk's U2 and then its U1.
     """
     n = _integer(n, "sample count", 1)
     if seed is not None:
@@ -373,10 +370,9 @@ def sample_qgaussian(dist: QFamily, n: int, seed=None) -> np.ndarray:
     scale, mu = math.sqrt(dist.sigma_sq), dist.mu
     out = np.empty(n)
 
-    def fill(j, rng, buf):
-        """Chunk j into out; returns its non-finite count."""
-        o = out[j * _chunks.CHUNK:(j + 1) * _chunks.CHUNK]
-        u2 = buf[:o.size]
+    def fill(lo, rng, buf):
+        """The chunk's draws into out from lo; returns their non-finite count."""
+        o, u2 = out[lo:lo + len(buf)], buf[:, 0]
         rng.random(out=u2)
         _cos_two_pi(u2, o)
         rng.random(out=o)
@@ -387,8 +383,7 @@ def sample_qgaussian(dist: QFamily, n: int, seed=None) -> np.ndarray:
             o += mu
         return o.size - np.count_nonzero(np.isfinite(o))
 
-    bad = sum(_chunks.in_order(fill, seed, -(-n // _chunks.CHUNK),
-                               (min(n, _chunks.CHUNK),)))
+    bad = sum(_chunks.in_order(fill, seed, n, 1))
     if bad:
         raise NumericsError(
             f"{bad} of {n} draws at coupling {q} exceed the float range")

@@ -50,8 +50,8 @@ from .qseq import (_POLE_TOL, COUPLING_EPS, c_q, conj_hat, conj_tilde,
 
 _MATCH_TOL = 1e-9
 
-# frequencies per pass of the grid transform
-_GRID_BLOCK = 16
+# kernel values, samples x frequencies, per pass of the grid transform
+_GRID_VALUES = 1 << 16
 
 
 def QGaussianShape(q, a=1.0, beta=1.0) -> QFamily:
@@ -246,8 +246,9 @@ def _grid_numeric(grid: DensityGrid, q: float, ws: np.ndarray):
     vals = np.empty(ws.size, dtype=complex)
     errs = np.empty(ws.size, dtype=float)
     # blocks of frequencies keep the (samples x frequencies) matrices small
-    for lo in range(0, ws.size, _GRID_BLOCK):
-        w = ws[lo : lo + _GRID_BLOCK]
+    block = max(1, _GRID_VALUES // v.size)
+    for lo in range(0, ws.size, block):
+        w = ws[lo : lo + block]
         r, angle = _polar_kernel(q, xv, v, w)
         with np.errstate(invalid="ignore"):
             re = rules @ (np.cos(angle) * r)
@@ -296,6 +297,9 @@ def _gaussian_hat_numeric(shape: QFamily, q: float, ws: np.ndarray):
         return out
 
     out = back(hat_vals)
+    if not np.all(np.isfinite(out)):
+        raise NumericsError(f"the q > 0 route maps the transform at coupling "
+                            f"{q} back past the float range")
     spread = np.maximum(np.abs(back(hat_vals + hat_err) - out),
                         np.abs(back(hat_vals - hat_err) - out))
     return out, spread + 1e-15

@@ -144,9 +144,9 @@ def simulate(cfg):
     x (1 + d) + sqrt(x^2 + A/M) (m N), or, where M = 0 or A/M is past the
     float range, as x (1 + d) + sqrt((M/A) x^2 + 1) (a N).
     The noise, one normal per path and step, comes from the _chunks
-    engine in chunks of max(1, min(steps, CHUNK // n_paths)) steps, drawn
-    ahead of the stepping thread into the engine's ring; the samples
-    depend on the seed and the config alone.
+    engine in chunks of whole steps, drawn ahead of the stepping thread
+    into the engine's ring; the samples depend on the seed and the config
+    alone.
     Raises InstabilityError if any path exceeds |X| = 1e12, naming the
     first step where one does; |X| is tested at the end of each chunk,
     so a path that passes 1e12 and returns within a chunk is not seen.
@@ -157,45 +157,33 @@ def simulate(cfg):
         scale, mul, add = math.sqrt(2.0 * cfg.M * cfg.dt), 1.0, cfg.A / cfg.M
     else:
         scale, mul, add = math.sqrt(2.0 * cfg.A * cfg.dt), cfg.M / cfg.A, 1.0
-    stride = cfg.stride
-    n_keep = cfg.samples_per_path
+    stride, burn_in = cfg.stride, cfg.burn_in
 
     x, t, s, x0 = np.zeros(n), np.empty(n), np.empty(n), np.empty(n)
-    out = np.empty((n, n_keep))
-    k = 0
-    next_keep = cfg.burn_in
-    if next_keep == 0:
-        out[:, 0] = x
-        k, next_keep = 1, stride
+    # paths start at 0, so with no burn-in sample 0 is already in place
+    out = np.zeros((n, cfg.samples_per_path))
 
-    rows = max(1, min(steps, _chunks.CHUNK // n))
-    chunks = -(-steps // rows)
+    def draw(lo, rng, buf):
+        """The chunk's noise from step lo + 1, unscaled, in buf."""
+        rng.standard_normal(out=buf)
+        return lo, buf
 
-    def draw(j, rng, buf):
-        """Chunk j of the noise, unscaled, in buf."""
-        z = buf[:min(rows, steps - j * rows)]
-        rng.standard_normal(out=z)
-        return z
-
-    step = 0
-    with closing(_chunks.in_order(draw, cfg.seed, chunks, (rows, n))) as noise, \
+    with closing(_chunks.in_order(draw, cfg.seed, steps, n)) as noise, \
             np.errstate(over="ignore", invalid="ignore"):
-        for j, z in enumerate(noise):
+        for lo, z in noise:
             # scaled here: on a worker the product would take the GIL
             # once more per chunk, and this loop holds it
             z *= scale
             np.copyto(x0, x)
-            for row in z:
+            for step, row in enumerate(z, lo + 1):
                 x, t = _step(x, t, s, row, growth, mul, add)
-                step += 1
-                if step == next_keep and k < n_keep:
+                k, off = divmod(step - burn_in, stride)
+                if k >= 0 and not off:
                     out[:, k] = x
-                    k += 1
-                    next_keep += stride
             if _blown(x):
                 # |X| is tested once per chunk; the chunk's rows,
                 # replayed from its start, name the step that blew up
-                for step, row in enumerate(z, j * rows + 1):
+                for step, row in enumerate(z, lo + 1):
                     x0, t = _step(x0, t, s, row, growth, mul, add)
                     if _blown(x0):
                         break
@@ -356,21 +344,22 @@ def fit_qgaussian(samples):
 
     q, mu0, lnb0 = _initial_guess(x)
     # the start is (q, 0, 0) on the scaled samples z; a compact start
-    # holds every sample inside its support
+    # holds every sample inside its support, unless that would shrink q
+    # eightfold: a far outlier then starts the search in the heavy tail
     with np.errstate(over="ignore"):
         z = (x - mu0) * math.exp(0.5 * lnb0)
         zz = float(np.max(z * z))
     if not zz < math.inf:
         raise NumericsError("samples spread past the likelihood's range")
     if q > 0.0:
-        q = min(q, 0.5 / zz)
+        q = min(q, 0.5 / zz) if q * zz < 4.0 else -0.5
     theta = np.array([q, 0.0, 0.0])
     ll, grad, hess = _loglik(theta, z, True)
     for _ in range(_MAX_NEWTON):
         lam, vec = np.linalg.eigh(hess)
         step = vec @ ((vec.T @ grad) / np.abs(lam))
         decrement = float(grad @ step)
-        if decrement <= 1.0e-10:
+        if not decrement > 1.0e-10:  # or nan, from a singular Hessian
             break
         a = 1.0
         while a > 1.0e-18 and _loglik(theta + a * step, z, False)[0] < (

@@ -1,4 +1,3 @@
-import math
 import sys
 import threading
 import tracemalloc
@@ -30,57 +29,79 @@ def _address(buf):
     return buf.__array_interface__["data"][0]
 
 
+@pytest.mark.parametrize("width", [1, 7, 1 << 16, (1 << 16) + 1])
+@pytest.mark.parametrize("rows", [1, _chunks.CHUNK - 1, _chunks.CHUNK + 1])
+def test_chunks_partition_the_rows_in_order(monkeypatch, rows, width):
+    # chunk j starts at j * step, step = max(1, CHUNK // width) rows, and
+    # takes the j-th child stream; only the last chunk is shorter
+    monkeypatch.setattr(_chunks, "cores", lambda: 1)
+    step = max(1, _chunks.CHUNK // width)
+    got = list(_chunks.in_order(
+        lambda lo, rng, buf: (lo, buf.shape, rng.bit_generator.seed_seq),
+        5, rows, width))
+    assert [(lo, shape, seq.spawn_key) for lo, shape, seq in got] == [
+        (lo, (min(step, rows - lo), width), (lo // step,))
+        for lo in range(0, rows, step)]
+    assert got[0][2].entropy == np.random.SeedSequence(5).entropy
+
+
 @pytest.mark.parametrize("cores", [1, 2, 8])
 @pytest.mark.parametrize("ring", [1, 2, 4, 4096])
 def test_results_in_order_with_disjoint_slots(monkeypatch, short_switch,
                                               cores, ring):
-    # slots of RING_VALUES // ring values, ring of which fill the cap: at
-    # ring 1 the two-slot floor passes the cap, at 2 and 4 the cap binds
-    # on enough cores, and at 4096 two slots per thread bind
+    # rows of RING_VALUES // ring values, whole chunks of which fill the
+    # cap ring times: at ring 1 the two-slot floor passes the cap, at 2
+    # and 4 the cap binds on enough cores, and at 4096, chunks of 128
+    # rows, two slots per thread bind
     monkeypatch.setattr(_chunks, "cores", lambda: cores)
-    slot = (_chunks.RING_VALUES // ring,)
-    window = min(2 * cores, max(2, ring))
+    width = _chunks.RING_VALUES // ring
+    step = max(1, _chunks.CHUNK // width)
+    window = min(2 * cores, max(2, _chunks.RING_VALUES // (step * width)))
     lock, live, clashes = threading.Lock(), {}, []
 
-    def fn(j, rng, buf):
-        # buf is live from the start of fn(j) until the caller is done
+    def fn(lo, rng, buf):
+        # buf is live from the start of fn(lo) until the caller is done
         # with its result
-        assert buf.shape == slot
+        assert buf.shape == (min(step, rows - lo), width)
         with lock:
-            clashes.extend(j for other in live.values()
+            clashes.extend(lo for other in live.values()
                            if np.shares_memory(buf, other))
-            live[j] = buf
+            live[lo] = buf
         value = rng.random()
         rng.standard_normal(1000)
-        return j, value
+        return lo, value
 
     before = threading.active_count()
     for count in sorted({1, window - 1, window, window + 1, 5 * window + 3}):
+        # count chunks, the last of one row
+        rows = (count - 1) * step + 1
         taken = []
-        for j, value in _chunks.in_order(fn, 7, count, slot):
-            taken.append((j, value))
+        for lo, value in _chunks.in_order(fn, 7, rows, width):
+            taken.append((lo, value))
             with lock:
-                del live[j]
-        assert taken == [(j, _stream_value(7, j)) for j in range(count)]
+                del live[lo]
+        assert taken == [(j * step, _stream_value(7, j)) for j in range(count)]
         assert clashes == []
         assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("cores", [1, 2, 8])
-@pytest.mark.parametrize("slot", [(3, 5), (1 << 18,), (1 << 20, 3)],
+@pytest.mark.parametrize("width", [5, 1 << 18, 3 << 20],
                          ids=["small", "on-cap", "past-cap"])
-def test_ring_stays_within_its_bounds(monkeypatch, cores, slot):
+def test_ring_stays_within_its_bounds(monkeypatch, cores, width):
     # at most 2 cores slots, and at most RING_VALUES values unless two
     # slots alone are more: the distinct buffers handed out, and what the
-    # run allocates, say so
+    # run allocates, say so; rows of 5 values come in chunks of CHUNK // 5
+    # rows, wider rows one to a chunk
     monkeypatch.setattr(_chunks, "cores", lambda: cores)
-    values = math.prod(slot)
+    step = max(1, _chunks.CHUNK // width)
+    values = step * width
     # a first run imports the thread pool, which tracemalloc would count
-    list(_chunks.in_order(lambda j, rng, buf: j, 3, 4, (1,)))
+    list(_chunks.in_order(lambda lo, rng, buf: lo, 3, 4, _chunks.CHUNK))
     tracemalloc.start()
     try:
-        seen = set(_chunks.in_order(lambda j, rng, buf: _address(buf), 3,
-                                    40, slot))
+        seen = set(_chunks.in_order(lambda lo, rng, buf: _address(buf), 3,
+                                    40 * step, width))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -100,17 +121,17 @@ def test_failure_in_fn_reaches_the_caller(monkeypatch, cores):
     monkeypatch.setattr(_chunks, "cores", lambda: cores)
     failed = threading.Event()
 
-    def fn(j, rng, buf):
+    def fn(lo, rng, buf):
         on_worker = threading.current_thread() is not threading.main_thread()
         if on_worker or cores == 1:
             failed.set()
-            raise RuntimeError(f"call {j} failed")
+            raise RuntimeError(f"call {lo} failed")
         assert failed.wait(10)
-        return j
+        return lo
 
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="call .* failed"):
-        for _ in _chunks.in_order(fn, 1, 20, (4,)):
+        for _ in _chunks.in_order(fn, 1, 20, _chunks.CHUNK):
             pass
     assert threading.active_count() == before
 
@@ -120,14 +141,14 @@ def test_failure_in_the_callers_loop_leaves_no_worker(monkeypatch, cores):
     monkeypatch.setattr(_chunks, "cores", lambda: cores)
     calls = []
 
-    def fn(j, rng, buf):
-        calls.append(j)
+    def fn(lo, rng, buf):
+        calls.append(lo)
         rng.standard_normal(10_000)
-        return j
+        return lo
 
     before = threading.active_count()
     with pytest.raises(ValueError, match="stop at 2"):
-        with closing(_chunks.in_order(fn, 1, 50, (4,))) as results:
+        with closing(_chunks.in_order(fn, 1, 50, _chunks.CHUNK)) as results:
             for j in results:
                 if j == 2:
                     raise ValueError("stop at 2")
@@ -142,14 +163,14 @@ def test_caller_runs_the_calls_no_worker_started(monkeypatch):
     monkeypatch.setattr(_chunks, "cores", lambda: 2)
     release, on_main, waits = threading.Event(), [], []
 
-    def fn(j, rng, buf):
+    def fn(lo, rng, buf):
         if threading.current_thread() is threading.main_thread():
-            on_main.append(j)
+            on_main.append(lo)
             if len(on_main) == 3:
                 release.set()
         else:
             waits.append(release.wait(2))
-        return j
+        return lo
 
-    assert list(_chunks.in_order(fn, 1, 4, (4,))) == [0, 1, 2, 3]
+    assert list(_chunks.in_order(fn, 1, 4, _chunks.CHUNK)) == [0, 1, 2, 3]
     assert len(on_main) >= 3 and all(waits)

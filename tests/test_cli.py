@@ -259,6 +259,62 @@ def test_transform_exits_cleanly_on_any_float(family, conjugate, q, a, beta,
                     *(["--conjugate"] if conjugate else [])])
 
 
+def _or_in(low, high):
+    # _eval_floats, or a float of the range where the command does work
+    return st.one_of(_eval_floats, st.floats(low, high))
+
+
+@given(q=_or_in(-2.0, 10.0), mu=_eval_floats, sigma_sq=_or_in(1e-3, 1e3),
+       n=st.integers(min_value=1, max_value=50),
+       seed=st.integers(min_value=0, max_value=2**32))
+@settings(max_examples=200, deadline=None)
+def test_dist_sample_exits_cleanly_on_any_float(q, mu, sigma_sq, n, seed):
+    _exits_cleanly(["dist", "sample", f"--q={q!r}", f"--mu={mu!r}",
+                    f"--sigma-sq={sigma_sq!r}", f"--n={n}", f"--seed={seed}"])
+
+
+@given(family=st.sampled_from(["gaussian", "uniform"]),
+       conjugate=st.booleans(), q=_or_in(-2.0, 3.0), a=_or_in(0.1, 10.0),
+       beta=_or_in(0.1, 10.0), w_min=_or_in(-10.0, 10.0),
+       w_max=_or_in(-10.0, 10.0), n=st.integers(min_value=1, max_value=3))
+@example(family="gaussian", conjugate=False, q=0.0, a=1.0, beta=1e-307,
+         w_min=0.0, w_max=0.0, n=1)
+@example(family="gaussian", conjugate=False, q=0.1, a=1e-115, beta=1.0,
+         w_min=0.0, w_max=0.0, n=1)
+@settings(max_examples=200, deadline=None)
+def test_numeric_transform_exits_cleanly_on_any_float(family, conjugate, q, a,
+                                                      beta, w_min, w_max, n):
+    _exits_cleanly(["transform", family, f"--q={q!r}", f"--a={a!r}",
+                    f"--beta={beta!r}", f"--w-min={w_min!r}",
+                    f"--w-max={w_max!r}", f"--n={n}", "--method=numeric",
+                    *(["--conjugate"] if conjugate else [])])
+
+
+@given(m=_or_in(0.0, 5.0), a=_or_in(0.01, 5.0), tau=_or_in(0.01, 5.0),
+       dt=_or_in(1e-3, 0.1), steps=st.integers(min_value=1, max_value=50),
+       n_paths=st.integers(min_value=1, max_value=500),
+       burn_in=st.one_of(st.none(), st.integers(min_value=0, max_value=50)),
+       seed=st.integers(min_value=0, max_value=2**32), fit=st.booleans())
+@example(m=0.25, a=0.5, tau=0.75, dt=0.1, steps=50, n_paths=400, burn_in=0,
+         seed=1, fit=True)
+@settings(max_examples=200, deadline=None)
+def test_simulate_exits_cleanly_on_any_float(m, a, tau, dt, steps, n_paths,
+                                             burn_in, seed, fit):
+    # the example fits 4 samples of each of 400 paths
+    _exits_cleanly(["simulate", f"--m={m!r}", f"--a={a!r}", f"--tau={tau!r}",
+                    f"--dt={dt!r}", f"--steps={steps}",
+                    f"--n-paths={n_paths}", f"--seed={seed}",
+                    *([] if burn_in is None else [f"--burn-in={burn_in}"]),
+                    *(["--fit"] if fit else [])])
+
+
+@given(figure=st.integers(min_value=0, max_value=5),
+       fmt=st.sampled_from(["csv", "json"]))
+@settings(max_examples=20, deadline=None)
+def test_figure_exits_cleanly(figure, fmt):
+    _exits_cleanly(["figure", str(figure), f"--format={fmt}"])
+
+
 class TestScalarCommands:
     def test_seq_maps_match_library(self, capsys):
         for name, fn in (("hat", qseq.conj_hat), ("tilde", qseq.conj_tilde),

@@ -714,10 +714,12 @@ class TestClosedFormCalculus:
     @pytest.mark.parametrize("fn, q, s, x", [(dn_exp_q, 5.0, -1, 1.0),
                                              (intn_exp_q, -3.0, 1, -1.0)],
                              ids=["dn", "intn"])
-    @pytest.mark.parametrize("size", [1e5, 1e10, 1e50])
+    @pytest.mark.parametrize("size", [1e5, 1e10, 1e50, 1e100, 1e200, 1e300])
     def test_overflowed_argument_inside_the_support(self, fn, q, s, x, size):
         # scale*a*x overflows where 1 + q*a*x is large: the value is
-        # finite and taken in logs, here against 50-digit mpmath
+        # finite and taken in logs, here against 50-digit mpmath; past
+        # 1e50 exp_q alone leaves the float range, and the product with
+        # the coefficient is taken in logs too
         a, x = 1e300, x * size
         with mp.workdps(50):
             mq, scale = mp.mpf(q), 1 + s * mp.mpf(q)

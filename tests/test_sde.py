@@ -1,9 +1,11 @@
+import itertools
 import math
 import os
 import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -54,7 +56,9 @@ def _reference_states(cfg):
 
 
 def _reference_samples(cfg):
-    kept = [x for step, x in enumerate(_reference_states(cfg), 1)
+    # the paths start at 0, the state at step 0
+    states = itertools.chain([np.zeros(cfg.n_paths)], _reference_states(cfg))
+    kept = [x for step, x in enumerate(states)
             if step >= cfg.burn_in and (step - cfg.burn_in) % cfg.stride == 0]
     return np.stack(kept, axis=1).ravel()
 
@@ -224,6 +228,17 @@ class TestSimulate:
         monkeypatch.setattr(_chunks, "CHUNK", 40 * cfg.n_paths)
         assert np.array_equal(sde.simulate(cfg), _reference_samples(cfg))
 
+    @pytest.mark.parametrize("block", [4096, 64])
+    def test_no_burn_in_keeps_the_start(self, monkeypatch, block):
+        # burn_in = 0: each path's first sample is its start, 0, and the
+        # others follow every stride steps
+        cfg = sde.SdeConfig(steps=300, n_paths=5, burn_in=0, seed=11)
+        monkeypatch.setattr(_chunks, "CHUNK", block * cfg.n_paths)
+        xs = sde.simulate(cfg)
+        assert cfg.samples_per_path == 3
+        assert not xs.reshape(cfg.n_paths, -1)[:, 0].any()
+        assert np.array_equal(xs, _reference_samples(cfg))
+
     def test_independent_of_cores_and_ring_size(self, monkeypatch):
         # 16-step chunks, the last of 12 steps, on 1 to 8 threads, with
         # the engine's cap at 2 slots or at the whole run; with a short
@@ -370,6 +385,20 @@ class TestSimulate:
 
 
 class TestFit:
+    @pytest.mark.parametrize("bulk", ["normal", "uniform"])
+    @pytest.mark.parametrize("outlier", [1e10, -1e100, 1e150])
+    def test_one_far_outlier_starts_in_the_heavy_tail(self, bulk, outlier):
+        # a compact start holding the outlier inside its support would
+        # take q near 1e-20 and a singular Hessian; from a heavy-tail
+        # start the search converges, with no warning
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal(5000) if bulk == "normal" else rng.random(5000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = sde.fit_qgaussian(np.append(x, outlier))
+        assert rep.converged and -2.0 < rep.q_est < 0.0
+        assert math.isfinite(rep.beta_est) and math.isfinite(rep.loglik)
+
     def test_recovers_heavy_tail_sampler(self):
         dist = qdist.QGaussian(-0.5)
         xs = qdist.sample_qgaussian(dist, 100_000, seed=11)
